@@ -25,8 +25,10 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidRegimeError
-from .geometry import check_dimension, radial_weight, sphere_area
-from .scattering import HARDCORE, Potential, RadialProfile
+from .geometry import check_dimension, sphere_area
+from .scattering import RadialProfile
+
+QUAD_MIN_CELLS = 4096  # quadrature cells over [0, r_max], split among the segments
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _segment_quadrature(r, f, v, mu, d):
     Derivative by second-order central differences (one-sided at segment
     ends), composite Simpson quadrature.
     """
-    w = np.array([radial_weight(d, ri) for ri in r])
+    w = sphere_area(d) * np.sinh(r) ** (d - 1)
     fp = np.gradient(f, r, edge_order=2)
     i_part = simpson((1.0 - f**2) * w, x=r)
     j_part = simpson((mu * fp**2 + 0.5 * v * f**2) * w, x=r)
@@ -149,13 +151,13 @@ def _segment_quadrature(r, f, v, mu, d):
     return i_part, j_part, k_part
 
 
-def quad_integrals(profile, V, mu, d, min_cells=4096) -> IntegralTriple:
+def quad_integrals(profile, V, mu, d) -> IntegralTriple:
     """Quadrature of (I, J, K) for a radial profile and its potential.
 
     The profile is extended by f = 1 beyond its outer radius, so all three
     integrands vanish there and the integrals are truncated at r_max.  The
-    quadrature grid is refined to at least min_cells cells and split at the
-    potential breakpoints, where f' or V jump.
+    quadrature grid is refined to at least QUAD_MIN_CELLS cells and split at
+    the potential breakpoints, where f' or V jump.
     """
     d = check_dimension(d)
     if not isinstance(profile, RadialProfile):
@@ -170,7 +172,7 @@ def quad_integrals(profile, V, mu, d, min_cells=4096) -> IntegralTriple:
     total_i = total_j = total_k = 0.0
     grid, vals = profile.grid, profile.values
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        n = int(max(8, math.ceil(min_cells * (hi - lo) / R)))
+        n = int(max(8, math.ceil(QUAD_MIN_CELLS * (hi - lo) / R)))
         if n % 2:
             n += 1
         r = np.linspace(lo, hi, n + 1)
@@ -339,9 +341,11 @@ def formula_variants() -> dict:
 def make_report(d, rho, a, mu, R0, gap=None) -> BoundReport:
     """Assemble the bound report for one parameter set.
 
-    Computes Y, checks the smallness provisos, evaluates the simplified and
-    the direct (comparison-radius) energy bounds, and, when a spectral gap
-    is supplied, the condensate-fraction lower bound.  Fields behind a
+    The one implementation of the chain a -> Y -> energy bound -> fraction,
+    shared by the bound and sweep commands and by certify_bec.  Computes Y,
+    checks the smallness provisos, evaluates the simplified and the direct
+    (comparison-radius) energy bounds, and, when a spectral gap is
+    supplied, the condensate-fraction lower bound.  Fields behind a
     violated proviso are None.
     """
     d = check_dimension(d)

@@ -17,17 +17,14 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import bounds as _bounds
 from . import manifolds as _manifolds
 from . import oracles as _oracles
 from . import scattering as _scattering
-from .errors import HypgasError, InvalidRegimeError, MatchingError
-from .geometry import check_dimension
+from .errors import HypgasError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -37,6 +34,17 @@ EXIT_NUMERIC = 3
 
 class ParseError(Exception):
     """Invalid CLI input: bad flags, unreadable or malformed files."""
+
+
+def _finite_float(text) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def load_potential(path) -> _scattering.Potential:
@@ -91,7 +99,11 @@ def _model_from_args(args) -> _manifolds.ManifoldModel:
 
 
 def _defaults_block(args) -> dict:
-    return {"tol": args.tol, "profile_nodes": 4097, "quad_min_cells": 4096}
+    return {
+        "tol": args.tol,
+        "profile_nodes": _scattering.PROFILE_NODES,
+        "quad_min_cells": _bounds.QUAD_MIN_CELLS,
+    }
 
 
 def _emit(text, out_path):
@@ -105,7 +117,7 @@ def _emit(text, out_path):
 def _json_report(payload, args) -> str:
     payload = dict(payload)
     payload["defaults"] = _defaults_block(args)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_scatter(args) -> int:
@@ -145,30 +157,32 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def _bound_payload(d, rho, mu, V, eps, gap, tol):
-    params = _scattering.ScatteringParams(mu=mu, d=d)
-    solution = _scattering.scattering_length(V, params, tol=tol)
-    report = _bounds.make_report(d, rho, solution.a, mu, V.r0, gap=gap)
-    y0 = _bounds.y0_threshold(d, eps, mu, V.r0)
+def cmd_bound(args) -> int:
+    V = load_potential(args.potential)
+    d, rho, mu = args.d, args.rho, args.mu
+    a = _scattering.scattering_length(
+        V, _scattering.ScatteringParams(mu=mu, d=d), tol=args.tol
+    ).a
+    report = _bounds.make_report(d, rho, a, mu, V.r0, gap=args.gap)
     warnings = []
-    if not report.validity.get("y_within_cap", False):
+    if not report.validity["y_within_cap"]:
         warnings.append(
             f"Y = {report.Y} exceeds the smallness cap "
             f"{_bounds.y_cap(d, V.r0)}; energy bound not applicable"
         )
-    return {
+    payload = {
         "inputs": {
             "d": d,
             "rho": rho,
             "mu": mu,
-            "eps": eps,
-            "gap": gap,
+            "eps": args.eps,
+            "gap": args.gap,
             "potential": {"kind": V.kind, "r0": V.r0, "pieces": [list(p) for p in V.pieces]},
         },
         "derived": {
-            "a": solution.a,
+            "a": a,
             "Y": report.Y,
-            "Y0_eps": y0,
+            "Y0_eps": _bounds.y0_threshold(d, args.eps, mu, V.r0),
             "energy_upper_per_particle": report.energy_upper_per_particle,
             "fraction_lower": report.fraction_lower,
             "validity": report.validity,
@@ -176,11 +190,6 @@ def _bound_payload(d, rho, mu, V, eps, gap, tol):
         "provenance": report.provenance,
         "warnings": warnings,
     }
-
-
-def cmd_bound(args) -> int:
-    V = load_potential(args.potential)
-    payload = _bound_payload(args.d, args.rho, args.mu, V, args.eps, args.gap, args.tol)
     _emit(_json_report(payload, args), args.out)
     return EXIT_OK
 
@@ -207,8 +216,8 @@ def _parse_axis(spec):
     if scale not in ("linear", "log"):
         raise ParseError(f"axis scale must be linear or log, got {scale!r}")
     try:
-        lo, hi, count = float(lo), float(hi), int(count)
-    except ValueError as exc:
+        lo, hi, count = _finite_float(lo), _finite_float(hi), int(count)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise ParseError(f"malformed axis {spec!r}: {exc}") from exc
     if count < 1 or hi < lo or (scale == "log" and lo <= 0):
         raise ParseError(f"invalid axis range in {spec!r}")
@@ -234,29 +243,26 @@ def cmd_sweep(args) -> int:
     for name, values in axes:  # lexicographic order: first axis outermost
         points = [dict(p, **{name: v}) for p in points for v in values]
 
+    d = args.d
     base = {"rho": args.rho, "mu": args.mu, "eps": args.eps}
-
-    def evaluate(overrides):
+    lengths = {}  # a depends only on (V, mu, d, tol), so solve once per mu
+    rows = []
+    for overrides in points:
         p = dict(base, **overrides)
-        payload = _bound_payload(args.d, p["rho"], p["mu"], V, p["eps"], args.gap, args.tol)
+        mu = p["mu"]
+        if mu not in lengths:
+            params = _scattering.ScatteringParams(mu=mu, d=d)
+            lengths[mu] = _scattering.scattering_length(V, params, tol=args.tol).a
+        report = _bounds.make_report(d, p["rho"], lengths[mu], mu, V.r0, gap=args.gap)
         row = {name: p[name] for name, _ in axes}
         row.update(
-            {
-                "a": payload["derived"]["a"],
-                "Y": payload["derived"]["Y"],
-                "Y0_eps": payload["derived"]["Y0_eps"],
-                "energy_upper_per_particle": payload["derived"]["energy_upper_per_particle"],
-                "fraction_lower": payload["derived"]["fraction_lower"],
-            }
+            a=lengths[mu],
+            Y=report.Y,
+            Y0_eps=_bounds.y0_threshold(d, p["eps"], mu, V.r0),
+            energy_upper_per_particle=report.energy_upper_per_particle,
+            fraction_lower=report.fraction_lower,
         )
-        return row
-
-    threads = int(os.environ.get("HYPGAS_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(p) for p in points]
+        rows.append(row)
 
     fields = [name for name, _ in axes] + [
         "a",
@@ -325,43 +331,43 @@ def build_parser() -> argparse.ArgumentParser:
         if potential:
             p.add_argument("--potential", required=True, help="potential definition JSON file")
         p.add_argument("--d", type=int, default=2, choices=(2, 3))
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--tol", type=float, default=_scattering.DEFAULT_TOL)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--mu", type=_finite_float, default=1.0)
+        p.add_argument("--tol", type=_finite_float, default=_scattering.DEFAULT_TOL)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("scatter", help="scattering length, C_d, E_R and profile")
     common(p)
-    p.add_argument("--R", type=float, default=None, help="override R = max(R0, a+1)")
+    p.add_argument("--R", type=_finite_float, default=None, help="override R = max(R0, a+1)")
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("bound", help="diluteness, energy upper bound, fraction bound")
     common(p)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--gap", type=float, default=None)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_finite_float, default=0.1)
+    p.add_argument("--gap", type=_finite_float, default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("certify", help="condensate certificate for a manifold model")
     common(p)
     p.add_argument("--model", required=True, choices=("modular", "congruence3", "random", "custom"))
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_finite_float, default=0.1)
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--vol-x1", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--volume", type=_finite_float, default=None)
+    p.add_argument("--gap", type=_finite_float, default=None)
+    p.add_argument("--vol-x1", type=_finite_float, default=None)
     p.add_argument("--index", type=int, default=1)
     p.add_argument("--gap-policy", default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="grid over one or two parameters")
     common(p)
-    p.add_argument("--rho", type=float, default=1e-3)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--gap", type=float, default=None)
+    p.add_argument("--rho", type=_finite_float, default=1e-3)
+    p.add_argument("--eps", type=_finite_float, default=0.1)
+    p.add_argument("--gap", type=_finite_float, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--axis",
         action="append",

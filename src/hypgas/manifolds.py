@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from . import bounds as _bounds
 from . import scattering as _scattering
-from .errors import InvalidRegimeError
 from .geometry import check_dimension
 
 KIM_SARNAK = "kim_sarnak"
@@ -257,11 +256,9 @@ def certify_bec(model, N, V, mu, eps, tol=_scattering.DEFAULT_TOL) -> Condensate
     vol = volume(model)
     rho = N / vol
     gap = spectral_gap(model)
-    solution = _scattering.scattering_length(V, _scattering.ScatteringParams(mu=mu, d=d), tol=tol)
-    a = solution.a
-    Y = _bounds.diluteness_Y(d, rho, a)
+    a = _scattering.scattering_length(V, _scattering.ScatteringParams(mu=mu, d=d), tol=tol).a
+    report = _bounds.make_report(d, rho, a, mu, V.r0, gap=gap)
     y0 = _bounds.y0_threshold(d, gap * eps, mu, V.r0)
-    corollary_met = Y < y0
 
     inputs = {
         "model": _model_inputs(model),
@@ -277,36 +274,29 @@ def certify_bec(model, N, V, mu, eps, tol=_scattering.DEFAULT_TOL) -> Condensate
         "formula_variants": _bounds.formula_variants(),
     }
 
-    energy = None
     fraction = None
-    certified = False
     failure = None
-    try:
-        energy = _bounds.simplified_upper_bound(d, Y, mu, V.r0)
-    except InvalidRegimeError as exc:
+    if not report.validity["y_within_cap"]:
         failure = (
-            f"diluteness parameter Y = {exc.value} exceeds the smallness cap "
-            f"{exc.threshold}; the energy upper bound does not apply"
+            f"diluteness parameter Y = {report.Y} exceeds the smallness cap "
+            f"{_bounds.y_cap(d, V.r0)}; the energy upper bound does not apply"
         )
     else:
-        fraction = max(0.0, _bounds.condensate_fraction_lower(energy, gap))
-        certified = fraction >= 1.0 - eps
-        if not certified:
-            failure = (
-                f"fraction lower bound {fraction} is below the target {1.0 - eps}"
-            )
+        fraction = max(0.0, report.fraction_lower)
+        if not fraction >= 1.0 - eps:
+            failure = f"fraction lower bound {fraction} is below the target {1.0 - eps}"
     return CondensateCertificate(
         inputs=inputs,
         volume=vol,
         rho=rho,
         a=a,
-        Y=Y,
+        Y=report.Y,
         gap=gap,
         y0_corollary=y0,
-        corollary_condition_met=corollary_met,
-        energy_upper=energy,
+        corollary_condition_met=report.Y < y0,
+        energy_upper=report.energy_upper_per_particle,
         fraction_lower=fraction,
-        certified=certified,
+        certified=failure is None,
         failure_reason=failure,
         provenance=provenance,
     )

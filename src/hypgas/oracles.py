@@ -25,7 +25,7 @@ from .scattering import (
     Potential,
     RadialProfile,
     ScatteringParams,
-    scattering_energy,
+    minimizer_profile,
 )
 
 
@@ -70,35 +70,27 @@ def _solve_once(V, params, R, h):
     if V.kind == HARDCORE:
         v_mid = np.zeros_like(mid)
     else:
-        v_mid = np.array([V.value(r) for r in mid])
+        # V.value on every midpoint: the first cell whose right edge exceeds it
+        radii, heights = zip(*V.pieces)
+        v_mid = np.append(heights, 0.0)[np.searchsorted(radii, mid, side="right")]
 
     # cell energy: mu*w*(df/dr)^2*dr + (v*w*dr/2) * ((f_i + f_{i+1})/2)^2
     kin = mu * w / dr
     pot = 0.5 * v_mid * w * dr / 4.0
 
     # unknowns: all nodes except the last (f = 1 at R) and, for hardcore,
-    # the first (f = 0 at R0)
+    # the first (f = 0 at R0).  Cell c couples nodes c and c+1: k + p on
+    # the diagonal of both, p - k off the diagonal, and the last cell moves
+    # its coupling to the fixed f = 1 into the right-hand side.
     lo_fixed = V.kind == HARDCORE
     start = 1 if lo_fixed else 0
     m = n - 1 - start
-    diag = np.zeros(m)
-    off = np.zeros(m - 1)
+    kp, cross = kin + pot, pot - kin
+    diag = kp[start:].copy()
+    diag[1 - start :] += kp[: m - 1 + start]
+    off = cross[start:-1]
     rhs = np.zeros(m)
-    for c in range(n - 1):
-        i, j = c - start, c + 1 - start  # unknown indices of cell endpoints
-        k, p = kin[c], pot[c]
-        if 0 <= i < m:
-            diag[i] += k + p
-        if 0 <= j < m:
-            diag[j] += k + p
-        if 0 <= i and j < m:
-            off[i] += -k + p
-        # couplings to the fixed boundary values
-        if j == m:  # f_{c+1} = 1 at R
-            if 0 <= i:
-                rhs[i] -= -k + p
-        if i < 0 and 0 <= j < m:  # f_c = 0 at R0: no contribution to rhs
-            pass
+    rhs[-1] = -cross[-1]
     ab = np.zeros((2, m))
     ab[0, 1:] = off
     ab[1, :] = diag
@@ -190,8 +182,6 @@ def inequality_report(case_grid) -> InequalityReport:
     simplified bound in Y where both provisos hold.  Infeasible cases are
     skipped with a reason.
     """
-    from .scattering import minimizer_profile  # local to avoid cycle at import
-
     results = []
     skipped = []
     all_ok = True

@@ -18,7 +18,8 @@ for which a = R0 exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,9 +29,9 @@ from .geometry import check_dimension, sphere_area
 
 HARDCORE = "hardcore"
 PIECEWISE = "piecewise_constant"
-SAMPLED = "sampled"
 
 DEFAULT_TOL = 1e-10
+PROFILE_NODES = 4097  # uniform nodes of a profile grid, to which the breakpoints are added
 _SERIES_START = 1e-6
 
 
@@ -38,12 +39,9 @@ _SERIES_START = 1e-6
 class Potential:
     """Radial, nonnegative, compactly supported two-body interaction.
 
-    kind is one of "hardcore", "piecewise_constant" or "sampled"; sampled
-    potentials are interpreted as piecewise-constant on their cells
-    (left-closed), which preserves V >= 0 and compact support exactly.
-    pieces is a sequence of (radius, value) pairs with strictly increasing
-    radii, the last radius equal to r0; value i applies on
-    [radius_{i-1}, radius_i).
+    kind is "hardcore" or "piecewise_constant".  pieces is a sequence of
+    (radius, value) pairs with strictly increasing radii, the last radius
+    equal to r0; value i applies on [radius_{i-1}, radius_i).
     """
 
     kind: str
@@ -51,7 +49,7 @@ class Potential:
     pieces: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (HARDCORE, PIECEWISE, SAMPLED):
+        if self.kind not in (HARDCORE, PIECEWISE):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if not self.r0 > 0:
             raise ValueError(f"support radius must be positive, got {self.r0}")
@@ -82,11 +80,6 @@ class Potential:
     def piecewise(cls, pieces) -> "Potential":
         pieces = tuple(pieces)
         return cls(PIECEWISE, pieces[-1][0], pieces)
-
-    @classmethod
-    def sampled(cls, samples) -> "Potential":
-        samples = tuple(samples)
-        return cls(SAMPLED, samples[-1][0], samples)
 
     def value(self, r) -> float:
         """Evaluate V(r); math.inf inside a hardcore, 0 beyond the support."""
@@ -155,27 +148,35 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Scattering length with its matching data and radial profile.
+    """Scattering length with its matching data and, on demand, the radial profile.
 
     alpha and beta are the coefficients of the exterior harmonic solution
-    alpha + beta * F_d(r), normalized consistently with the profile.  c_d
-    is the r-independent flux constant f'(r) sinh^{d-1}(r) of the
-    a-normalized exterior solution: 1 for d=2, tanh(a) for d=3.
+    alpha + beta * F_d(r), normalized to 1 at r_max, where the profile
+    ends.  c_d is the r-independent flux constant f'(r) sinh^{d-1}(r) of
+    the a-normalized exterior solution: 1 for d=2, tanh(a) for d=3.
     """
 
     a: float
     alpha: float
     beta: float
     c_d: float
-    profile: RadialProfile
     params: ScatteringParams
     potential: Potential
+    r_max: float
+    # (segments, norm): the dense interior segments of the solve that gave a,
+    # and f(r_max) before normalization; the profile is evaluated from them
+    _interior: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.a <= self.potential.r0 + 1e-9:
             raise ValueError(
                 f"scattering length {self.a} outside [0, R0={self.potential.r0}]"
             )
+
+    @cached_property
+    def profile(self) -> RadialProfile:
+        """Regular solution on [0, r_max], built on first access."""
+        return _build_profile(self)
 
 
 def harmonic_primitive(d, r) -> float:
@@ -277,69 +278,73 @@ def _length_from_matching(d, alpha, beta, r0):
     return min(a, r0)
 
 
-def _build_grid(V, r_max, n_nodes):
-    """Uniform grid on [0, r_max] merged with the potential breakpoints."""
-    grid = np.linspace(0.0, r_max, n_nodes)
-    extra = [e for e in V.cell_edges() if 0.0 < e < r_max]
-    grid = np.unique(np.concatenate([grid, np.asarray(extra)]))
-    return grid
+def _build_profile(sol) -> RadialProfile:
+    """Evaluate a solution on a uniform grid of [0, r_max] merged with the breakpoints.
 
-
-def solve_zero_energy(V, params, r_max, n_nodes=4097, tol=DEFAULT_TOL) -> RadialProfile:
-    """Regular radial zero-energy solution, normalized to f(r_max) = 1.
-
-    Beyond the support radius the returned values coincide with the matched
-    exterior harmonic solution alpha + beta * F_d(r).
+    Each dense interior segment is evaluated once, on all of its nodes;
+    from R0 on the matched exterior solution applies.
     """
-    if not r_max > V.r0:
-        raise ValueError(f"r_max = {r_max} must exceed the support radius {V.r0}")
-    d = params.d
-    grid = _build_grid(V, r_max, n_nodes)
+    V, d, r_max = sol.potential, sol.params.d, sol.r_max
+    edges = [e for e in V.cell_edges() if 0.0 < e < r_max]
+    grid = np.unique(np.concatenate([np.linspace(0.0, r_max, PROFILE_NODES), edges]))
 
     if V.kind == HARDCORE:
+        # f_infinity(r) / f_infinity(r_max), written without the cancellation
+        # of tanh(r) against tanh(a) at the nodes just outside the core
         a = V.r0
+        outside = grid > a
+        r = grid[outside]
+        if d == 2:
+            f = np.log1p(np.sinh((r - a) / 2.0) / (np.cosh(r / 2.0) * math.sinh(a / 2.0)))
+        else:
+            f = np.sinh(r - a) / (np.sinh(r) * math.cosh(a))
         values = np.zeros_like(grid)
-        outside = grid > V.r0
-        values[outside] = [
-            f_infinity(d, a, r) / f_infinity(d, a, r_max) for r in grid[outside]
-        ]
-        values[-1] = 1.0
+        values[outside] = f / f[-1]
         return RadialProfile(grid, values, r_max)
 
-    segments, f_r0, fp_r0 = _integrate_interior(V, params, tol)
-    alpha, beta = _match_exterior(d, V.r0, f_r0, fp_r0)
-    norm = alpha + beta * harmonic_primitive(d, r_max)
-    if not norm > 0:
-        raise MatchingError(f"non-positive normalization f(r_max) = {norm}")
-
+    segments, norm = sol._interior
     values = np.empty_like(grid)
-    for i, r in enumerate(grid):
-        if r >= V.r0:
-            values[i] = alpha + beta * harmonic_primitive(d, r)
-        elif r <= _SERIES_START:
-            values[i] = segments[0][2](_SERIES_START)[0]
-        else:
-            for lo, hi, dense in segments:
-                if r <= hi:
-                    values[i] = dense(max(r, lo))[0]
-                    break
-    values /= norm
+    exterior = grid >= V.r0
+    r = grid[exterior]
+    primitive = np.log(np.tanh(r / 2.0)) if d == 2 else -1.0 / np.tanh(r)
+    values[exterior] = sol.alpha + sol.beta * primitive
+    nodes = np.flatnonzero(~exterior)
+    # a node on a cell edge belongs to the cell it closes
+    owner = np.searchsorted([hi for _, hi, _ in segments], grid[nodes])
+    for k, (lo, _, dense) in enumerate(segments):
+        mine = nodes[owner == k]
+        if mine.size:
+            values[mine] = dense(np.maximum(grid[mine], lo))[0] / norm
     values[-1] = 1.0
     np.clip(values, 0.0, 1.0, out=values)
     return RadialProfile(grid, values, r_max)
 
 
-def scattering_length(V, params, r_max=None, n_nodes=4097, tol=DEFAULT_TOL) -> ScatteringSolution:
+def solve_zero_energy(V, params, r_max, tol=DEFAULT_TOL) -> RadialProfile:
+    """Regular radial zero-energy solution, normalized to f(r_max) = 1.
+
+    Beyond the support radius the returned values coincide with the matched
+    exterior harmonic solution alpha + beta * F_d(r).
+    """
+    return scattering_length(V, params, r_max, tol=tol).profile
+
+
+def scattering_length(V, params, r_max=None, tol=DEFAULT_TOL) -> ScatteringSolution:
     """Hyperbolic scattering length of V with its matched exterior data.
 
     The length is read off from the matching at r = R0, so the result is
-    independent of r_max (which only sets the extent of the stored profile).
-    For hardcore potentials a = R0 exactly; for V = 0 the convention a = 0
-    applies (beta = 0, no scattering).
+    independent of r_max (which only sets the normalization point and the
+    extent of the profile).  The interior is integrated once; the profile
+    is built from that solve only when it is read.  For hardcore
+    potentials a = R0 exactly; for V = 0 the convention a = 0 applies
+    (beta = 0, no scattering).
     """
     d = params.d
     if r_max is None:
         r_max = V.r0 + 1.0
+    if not r_max > V.r0:
+        raise ValueError(f"r_max = {r_max} must exceed the support radius {V.r0}")
+    segments = ()
     if V.kind == HARDCORE:
         a = V.r0
         if d == 2:
@@ -347,23 +352,25 @@ def scattering_length(V, params, r_max=None, n_nodes=4097, tol=DEFAULT_TOL) -> S
         else:
             alpha, beta = 1.0, math.tanh(a)
     else:
-        _, f_r0, fp_r0 = _integrate_interior(V, params, tol)
+        segments, f_r0, fp_r0 = _integrate_interior(V, params, tol)
         alpha, beta = _match_exterior(d, V.r0, f_r0, fp_r0)
         a = _length_from_matching(d, alpha, beta, V.r0)
-    profile = solve_zero_energy(V, params, r_max, n_nodes=n_nodes, tol=tol)
     norm = alpha + beta * harmonic_primitive(d, r_max)
+    if not norm > 0:
+        raise MatchingError(f"non-positive normalization f(r_max) = {norm}")
     return ScatteringSolution(
         a=a,
         alpha=alpha / norm,
         beta=beta / norm,
         c_d=c_d(d, a),
-        profile=profile,
         params=params,
         potential=V,
+        r_max=r_max,
+        _interior=(tuple(segments), norm),
     )
 
 
-def minimizer_profile(V, params, R, n_nodes=4097, tol=DEFAULT_TOL) -> RadialProfile:
+def minimizer_profile(V, params, R, tol=DEFAULT_TOL) -> RadialProfile:
     """Unique minimizer of the two-body energy functional on the ball of radius R.
 
     Identical to the regular zero-energy solution rescaled to f(R) = 1; for
@@ -371,7 +378,7 @@ def minimizer_profile(V, params, R, n_nodes=4097, tol=DEFAULT_TOL) -> RadialProf
     """
     if not R > V.r0:
         raise ValueError(f"outer radius R = {R} must exceed the support radius {V.r0}")
-    return solve_zero_energy(V, params, R, n_nodes=n_nodes, tol=tol)
+    return solve_zero_energy(V, params, R, tol=tol)
 
 
 def scattering_energy(d, a, mu, R) -> float:

@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from hypgas import scattering
 from hypgas.cli import (
     EXIT_FAILED,
     EXIT_NUMERIC,
@@ -43,6 +45,23 @@ def run(argv, capsys):
     return code, out, err
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap hypgas.scattering functions at the module attribute; returns the call counts."""
+    counts = Counter()
+
+    def install(*names):
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(scattering, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(scattering, name, counted)
+        return counts
+
+    return install
+
+
 class TestLoadPotential:
     def test_hardcore(self, hardcore_file):
         V = load_potential(hardcore_file)
@@ -51,6 +70,13 @@ class TestLoadPotential:
 
     def test_piecewise(self, piecewise_file):
         V = load_potential(piecewise_file)
+        assert V.kind == PIECEWISE
+        assert V.pieces == ((1.0, 4.0),)
+
+    def test_sampled_kind_loads_as_piecewise(self, tmp_path):
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps({"kind": "sampled", "r0": 1.0, "pieces": [[1.0, 4.0]]}))
+        V = load_potential(str(path))
         assert V.kind == PIECEWISE
         assert V.pieces == ((1.0, 4.0),)
 
@@ -92,6 +118,18 @@ class TestScatter:
         assert out == ""
         assert json.loads(dest.read_text())["derived"]["a"] == pytest.approx(0.5, abs=1e-8)
 
+    def test_format_flag_rejected(self, hardcore_file, capsys):
+        code, out, _ = run(["scatter", "--potential", hardcore_file, "--format", "csv"], capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+
+    def test_integrates_interior_once(self, piecewise_file, capsys, count_calls):
+        counts = count_calls("_integrate_interior", "_build_profile")
+        code, out, _ = run(["scatter", "--potential", piecewise_file, "--d", "2"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["derived"]["profile"]["values"][-1] == 1.0
+        assert counts == {"_integrate_interior": 1, "_build_profile": 1}
+
 
 class TestBound:
     def test_dilute_report(self, hardcore_file, capsys):
@@ -115,6 +153,22 @@ class TestBound:
         doc = json.loads(out)
         assert doc["derived"]["energy_upper_per_particle"] is None
         assert any("cap" in w for w in doc["warnings"])
+
+    def test_builds_no_profile(self, piecewise_file, capsys, count_calls):
+        counts = count_calls("_build_profile")
+        code, _, _ = run(
+            ["bound", "--potential", piecewise_file, "--rho", "1e-4", "--gap", "0.25"], capsys
+        )
+        assert code == EXIT_OK
+        assert counts["_build_profile"] == 0
+
+    def test_infinite_density_is_parse_error(self, hardcore_file, capsys):
+        code, out, err = run(
+            ["bound", "--potential", hardcore_file, "--rho", "inf"], capsys
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "finite" in err
 
 
 class TestCertify:
@@ -155,6 +209,26 @@ class TestCertify:
         assert code == EXIT_OK
         assert json.loads(out)["gap"] == 0.238
 
+    def test_infinite_volume_is_parse_error(self, golden_file, capsys):
+        code, out, err = run(
+            ["certify", "--potential", golden_file, "--model", "custom",
+             "--volume", "inf", "--gap", "0.238", "--N", "10"],
+            capsys,
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "finite" in err
+
+    def test_builds_no_profile(self, piecewise_file, capsys, count_calls):
+        counts = count_calls("_build_profile")
+        code, _, _ = run(
+            ["certify", "--potential", piecewise_file, "--model", "modular", "--L", "50",
+             "--N", "100"],
+            capsys,
+        )
+        assert code in (EXIT_OK, EXIT_FAILED)
+        assert counts["_build_profile"] == 0
+
 
 class TestSweep:
     def test_single_axis_csv_rows(self, hardcore_file, capsys):
@@ -181,6 +255,30 @@ class TestSweep:
         mus = [r["mu"] for r in rows]
         assert rhos == sorted(rhos)  # first axis outermost
         assert mus[:3] == [1.0, 1.5, 2.0]
+
+    def test_one_solve_per_mu(self, piecewise_file, capsys, count_calls):
+        counts = count_calls("scattering_length", "_build_profile")
+        code, out, _ = run(
+            ["sweep", "--potential", piecewise_file, "--gap", "0.25",
+             "--axis", "rho:1e-5:1e-3:3:log", "--axis", "eps:0.05:0.5:2:linear"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == 6
+        assert counts == {"scattering_length": 1}
+
+        counts.clear()
+        code, out, _ = run(
+            ["sweep", "--potential", piecewise_file, "--gap", "0.25",
+             "--axis", "rho:1e-5:1e-3:2:log", "--axis", "mu:1:2:3:linear"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        assert counts == {"scattering_length": 3}
+        # rows with the same mu share one scattering length
+        assert rows[0]["a"] == rows[3]["a"] != rows[1]["a"]
 
     def test_duplicate_axis_rejected(self, hardcore_file, capsys):
         code, _, err = run(

@@ -177,9 +177,9 @@ class TestScatteringLength:
                 0.0, abs=1e-10
             )
 
-    def test_sampled_kind_behaves_like_piecewise(self):
-        Vs = Potential.sampled([(0.5, 4.0), (1.0, 4.0)])
-        sol = scattering_length(Vs, ScatteringParams(mu=1.0, d=3))
+    def test_split_cell_matches_single_cell(self):
+        V = Potential.piecewise([(0.5, 4.0), (1.0, 4.0)])
+        sol = scattering_length(V, ScatteringParams(mu=1.0, d=3))
         assert sol.a == pytest.approx(A_PIECEWISE_D3, abs=1e-8)
 
 
