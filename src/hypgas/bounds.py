@@ -10,9 +10,14 @@ via formula_variants():
 
 * d=2 diluteness: the quotient Y = rho / ln((tanh(a/2))^-1) is implemented;
   the product form diverges as a -> 0 and breaks the derivation chain.
-* K bound: the boxed estimate with the extra factor R is implemented (it is
-  the weaker, hence safe, upper bound); the proof-line variant without R is
-  exposed as k_bound_tight for cross-checks.
+* K bound: both are implemented.  k_bound is the boxed estimate with the
+  extra factor R; k_bound_tight is the final proof line without it, and it
+  is the K term of the direct bound energy_upper_bound.  The quadrature K
+  exceeds k_bound_tight once R - a exceeds about 1, so the direct bound is
+  reported as provenance only and never certifies.
+
+The closed forms of I, J and K are multiples of the two-body energy
+scattering.scattering_energy.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidRegimeError
-from .geometry import check_dimension, sphere_area
-from .scattering import RadialProfile
+from .geometry import check_dimension, radial_weight
+from .scattering import RadialProfile, harmonic_primitive, scattering_energy
 
 QUAD_MIN_CELLS = 4096  # quadrature cells over [0, r_max], split among the segments
 
@@ -42,10 +47,10 @@ class GasParameters:
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
-        if not self.rho > 0:
-            raise ValueError(f"density must be positive, got {self.rho}")
-        if not self.mu > 0:
-            raise ValueError(f"kinetic coefficient must be positive, got {self.mu}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"density must be positive and finite, got {self.rho}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"kinetic coefficient must be positive and finite, got {self.mu}")
         if self.N is not None and self.N < 2:
             raise ValueError(f"particle count must be >= 2, got {self.N}")
 
@@ -101,9 +106,7 @@ def diluteness_Y(d, rho, a) -> float:
         raise ValueError(f"scattering length must be nonnegative, got {a}")
     if a == 0:
         return 0.0
-    if d == 2:
-        return rho / math.log(1.0 / math.tanh(a / 2.0))
-    return rho * math.tanh(a)
+    return -rho / harmonic_primitive(d, a)
 
 
 def y_cap(d, R0) -> float:
@@ -131,9 +134,8 @@ def y0_threshold(d, eps, mu, R0) -> float:
     d = check_dimension(d)
     if not (eps > 0 and mu > 0 and R0 > 0):
         raise ValueError("eps, mu and R0 must all be positive")
-    branch = 3.0 * (math.sqrt(2.0 * eps / (3.0 * mu) + 1.0) - 1.0) / (16.0 * math.pi)
-    if d == 3:
-        branch /= math.exp(2.0 * R0)
+    a_c, b_c = _eps_branch_coefficients(d, mu, R0)
+    branch = (math.sqrt(4.0 * b_c * eps / a_c + 1.0) - 1.0) / (2.0 * b_c)
     return min(branch, y_cap(d, R0))
 
 
@@ -143,7 +145,7 @@ def _segment_quadrature(r, f, v, mu, d):
     Derivative by second-order central differences (one-sided at segment
     ends), composite Simpson quadrature.
     """
-    w = sphere_area(d) * np.sinh(r) ** (d - 1)
+    w = radial_weight(d, r)
     fp = np.gradient(f, r, edge_order=2)
     i_part = simpson((1.0 - f**2) * w, x=r)
     j_part = simpson((mu * fp**2 + 0.5 * v * f**2) * w, x=r)
@@ -195,36 +197,28 @@ def quad_integrals(profile, V, mu, d) -> IntegralTriple:
 def i_bound(d, a, R) -> float:
     """Closed-form upper estimate for the volume-deficit integral I(f_R).
 
+    (R^2 - a^2) * k_bound_tight(d, a, R):
     d=2: 2 pi (R^2 - a^2) / ln(tanh(R/2)/tanh(a/2));
     d=3: 4 pi tanh(a) tanh(R) (R^2 - a^2) / (tanh(R) - tanh(a)).
     """
-    d = check_dimension(d)
-    if not R > a > 0:
-        raise ValueError(f"need R > a > 0, got a={a}, R={R}")
-    if d == 2:
-        return 2.0 * math.pi * (R**2 - a**2) / math.log(math.tanh(R / 2) / math.tanh(a / 2))
-    ta, tr = math.tanh(a), math.tanh(R)
-    return 4.0 * math.pi * ta * tr * (R**2 - a**2) / (tr - ta)
+    return (R**2 - a**2) * k_bound_tight(d, a, R)
 
 
 def k_bound(d, a, R) -> float:
     """Closed-form upper estimate for the cross-term integral K(f_R).
 
+    R * k_bound_tight(d, a, R):
     d=2: 2 pi R / ln(tanh(R/2)/tanh(a/2));
     d=3: 4 pi tanh(a) R / (1 - tanh(a)/tanh(R)).
     """
-    d = check_dimension(d)
-    if not R > a > 0:
-        raise ValueError(f"need R > a > 0, got a={a}, R={R}")
-    if d == 2:
-        return 2.0 * math.pi * R / math.log(math.tanh(R / 2) / math.tanh(a / 2))
-    ta, tr = math.tanh(a), math.tanh(R)
-    return 4.0 * math.pi * ta * R / (1.0 - ta / tr)
+    return R * k_bound_tight(d, a, R)
 
 
 def k_bound_tight(d, a, R) -> float:
-    """The K estimate without the extra factor R (cross-check variant)."""
-    return k_bound(d, a, R) / R
+    """The K estimate without the extra factor R: the energy E_R at mu = 1."""
+    if not R > a > 0:
+        raise ValueError(f"need R > a > 0, got a={a}, R={R}")
+    return scattering_energy(d, a, 1.0, R)
 
 
 def trial_energy_bound(params, t) -> float:
@@ -248,18 +242,18 @@ def trial_energy_bound(params, t) -> float:
 def energy_upper_bound(d, rho, a, mu, R) -> float:
     """Per-particle energy upper bound at a concrete comparison radius R.
 
-    Combines the closed-form I, J, K estimates; valid under the smallness
+    The trial-state bound at the closed-form integrals I = i_bound,
+    J = scattering_energy and K = k_bound_tight; valid under the smallness
     proviso rho * i_bound(d, a, R) < 1, reported otherwise as an
-    invalid-regime error.  Zero for a = 0.
+    invalid-regime error.  Zero for a = 0.  Its K is the tight estimate,
+    which the quadrature K exceeds once R - a exceeds about 1, so this
+    bound is reported as provenance only and never used to certify.
     """
     d = check_dimension(d)
-    if a < 0:
-        raise ValueError(f"scattering length must be nonnegative, got {a}")
     if a == 0:
         return 0.0
-    if not R > a:
-        raise ValueError(f"need R > a, got a={a}, R={R}")
-    proviso = rho * i_bound(d, a, R)
+    I = i_bound(d, a, R)  # raises unless R > a > 0
+    proviso = rho * I
     if proviso >= 1.0:
         raise InvalidRegimeError(
             f"energy upper bound requires rho * I_bound < 1, got {proviso}",
@@ -267,15 +261,8 @@ def energy_upper_bound(d, rho, a, mu, R) -> float:
             value=proviso,
             threshold=1.0,
         )
-    if d == 2:
-        ell = math.log(math.tanh(R / 2) / math.tanh(a / 2))
-        lead = 2.0 * math.pi * rho * mu / ell
-        correction = 1.0 + 4.0 / 3.0 * math.pi * rho / ell
-    else:
-        ta, tr = math.tanh(a), math.tanh(R)
-        lead = 4.0 * math.pi * rho * mu * ta * tr / (tr - ta)
-        correction = 1.0 + 8.0 / 3.0 * math.pi * rho * ta * tr / (tr - ta)
-    return lead * correction / (1.0 - proviso) ** 2
+    t = IntegralTriple(I, scattering_energy(d, a, mu, R), k_bound_tight(d, a, R))
+    return trial_energy_bound(GasParameters(d, rho, mu), t)
 
 
 def simplified_upper_bound(d, Y, mu, R0) -> float:
@@ -328,8 +315,8 @@ def formula_variants() -> dict:
             "printed_variant": "4*pi*mu*a / (1 - tanh(a)/tanh(R))",
         },
         "k_bound": {
-            "implemented": "boxed estimate with factor R",
-            "printed_variant": "final proof line without factor R (k_bound_tight)",
+            "implemented": "final proof line without factor R (k_bound_tight) in the direct bound",
+            "printed_variant": "boxed estimate with factor R (k_bound), checked against quadrature",
         },
         "corollary_smallness_2d": {
             "implemented": "quotient Y with tanh(a/2)",
@@ -343,10 +330,9 @@ def make_report(d, rho, a, mu, R0, gap=None) -> BoundReport:
 
     The one implementation of the chain a -> Y -> energy bound -> fraction,
     shared by the bound and sweep commands and by certify_bec.  Computes Y,
-    checks the smallness provisos, evaluates the simplified and the direct
-    (comparison-radius) energy bounds, and, when a spectral gap is
-    supplied, the condensate-fraction lower bound.  Fields behind a
-    violated proviso are None.
+    checks the smallness cap, evaluates the simplified energy bound and,
+    when a spectral gap is supplied, the condensate-fraction lower bound.
+    Fields behind a violated proviso are None.
     """
     d = check_dimension(d)
     Y = diluteness_Y(d, rho, a)
@@ -362,16 +348,6 @@ def make_report(d, rho, a, mu, R0, gap=None) -> BoundReport:
     fraction = None
     if validity["y_within_cap"]:
         energy = simplified_upper_bound(d, Y, mu, R0)
-        if a > 0:
-            R = comparison_radius(R0, a)
-            try:
-                direct = energy_upper_bound(d, rho, a, mu, R)
-            except InvalidRegimeError:
-                validity["direct_proviso"] = False
-            else:
-                validity["direct_proviso"] = True
-                provenance["energy_upper_direct"] = f"energy_upper_bound at R={R}"
-                provenance["energy_upper_direct_value"] = direct
         if gap is not None:
             fraction = condensate_fraction_lower(energy, gap)
     return BoundReport(

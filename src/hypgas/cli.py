@@ -24,7 +24,7 @@ from . import bounds as _bounds
 from . import manifolds as _manifolds
 from . import oracles as _oracles
 from . import scattering as _scattering
-from .errors import HypgasError
+from .errors import HypgasError, InvalidRegimeError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -129,7 +129,7 @@ def cmd_scatter(args) -> int:
     profile = solution.profile
     payload = {
         "inputs": {
-            "potential": {"kind": V.kind, "r0": V.r0, "pieces": [list(p) for p in V.pieces]},
+            "potential": asdict(V),
             "d": args.d,
             "mu": args.mu,
             "R": R,
@@ -164,8 +164,20 @@ def cmd_bound(args) -> int:
         V, _scattering.ScatteringParams(mu=mu, d=d), tol=args.tol
     ).a
     report = _bounds.make_report(d, rho, a, mu, V.r0, gap=args.gap)
+    validity, provenance = dict(report.validity), dict(report.provenance)
+    if validity["y_within_cap"] and a > 0:
+        # the direct bound at the comparison radius, printed as provenance only
+        R = _bounds.comparison_radius(V.r0, a)
+        try:
+            direct = _bounds.energy_upper_bound(d, rho, a, mu, R)
+        except InvalidRegimeError:
+            validity["direct_proviso"] = False
+        else:
+            validity["direct_proviso"] = True
+            provenance["energy_upper_direct"] = f"energy_upper_bound at R={R}"
+            provenance["energy_upper_direct_value"] = direct
     warnings = []
-    if not report.validity["y_within_cap"]:
+    if not validity["y_within_cap"]:
         warnings.append(
             f"Y = {report.Y} exceeds the smallness cap "
             f"{_bounds.y_cap(d, V.r0)}; energy bound not applicable"
@@ -177,7 +189,7 @@ def cmd_bound(args) -> int:
             "mu": mu,
             "eps": args.eps,
             "gap": args.gap,
-            "potential": {"kind": V.kind, "r0": V.r0, "pieces": [list(p) for p in V.pieces]},
+            "potential": asdict(V),
         },
         "derived": {
             "a": a,
@@ -185,9 +197,9 @@ def cmd_bound(args) -> int:
             "Y0_eps": _bounds.y0_threshold(d, args.eps, mu, V.r0),
             "energy_upper_per_particle": report.energy_upper_per_particle,
             "fraction_lower": report.fraction_lower,
-            "validity": report.validity,
+            "validity": validity,
         },
-        "provenance": report.provenance,
+        "provenance": provenance,
         "warnings": warnings,
     }
     _emit(_json_report(payload, args), args.out)

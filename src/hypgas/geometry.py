@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
@@ -19,6 +21,17 @@ def check_dimension(d) -> int:
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d!r}")
     return int(d)
+
+
+def array_module(*args):
+    """numpy if any argument is an array, else math: one closed form serves
+    both, and floats in give a Python float out without numpy's scalar cost."""
+    return np if any(isinstance(x, np.ndarray) for x in args) else math
+
+
+def holds(condition) -> bool:
+    """Whether a comparison made on a number, or elementwise on an array, holds throughout."""
+    return condition if isinstance(condition, bool) else bool(np.all(condition))
 
 
 def sphere_area(d) -> float:
@@ -87,16 +100,16 @@ def geodesic_distance(d, p, q) -> float:
     return math.acosh(max(1.0, pairing))
 
 
-def radial_weight(d, r) -> float:
-    """Surface measure of the geodesic sphere of radius r.
+def radial_weight(d, r):
+    """Surface measure of the geodesic sphere of radius r (a float or an array).
 
     Equals vol(S^{d-1}) * sinh^{d-1}(r); this is the weight of hyperbolic
     polar coordinates and of every radial quadrature in the package.
     """
     d = check_dimension(d)
-    if r < 0:
+    if not holds(r >= 0):
         raise ValueError(f"radius must be nonnegative, got {r}")
-    return sphere_area(d) * math.sinh(r) ** (d - 1)
+    return sphere_area(d) * array_module(r).sinh(r) ** (d - 1)
 
 
 def ball_volume(d, R) -> float:

@@ -14,7 +14,7 @@ quotients, 3/16 - alpha (high-probability) or the Mirzakhani constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,8 +93,8 @@ class CongruenceQuotient3:
     def __post_init__(self):
         if self.L < 1:
             raise ValueError(f"level must be a positive integer, got {self.L}")
-        if not self.vol_X1 > 0:
-            raise ValueError(f"base volume must be positive, got {self.vol_X1}")
+        if not 0 < self.vol_X1 < math.inf:
+            raise ValueError(f"base volume must be positive and finite, got {self.vol_X1}")
         if self.index < 1:
             raise ValueError(f"index must be a positive integer, got {self.index}")
 
@@ -130,10 +130,10 @@ class CustomManifold:
     d: int = 2
 
     def __post_init__(self):
-        if not self.volume > 0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
-        if not self.gap > 0:
-            raise ValueError(f"spectral gap must be positive, got {self.gap}")
+        if not 0 < self.volume < math.inf:
+            raise ValueError(f"volume must be positive and finite, got {self.volume}")
+        if not 0 < self.gap < math.inf:
+            raise ValueError(f"spectral gap must be positive and finite, got {self.gap}")
         check_dimension(self.d)
 
     default_policy = CUSTOM
@@ -263,7 +263,7 @@ def certify_bec(model, N, V, mu, eps, tol=_scattering.DEFAULT_TOL) -> Condensate
     inputs = {
         "model": _model_inputs(model),
         "N": int(N),
-        "potential": {"kind": V.kind, "r0": V.r0, "pieces": [list(p) for p in V.pieces]},
+        "potential": asdict(V),
         "mu": mu,
         "eps": eps,
     }

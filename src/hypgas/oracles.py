@@ -19,7 +19,7 @@ from scipy.linalg import solveh_banded
 
 from . import bounds as _bounds
 from .errors import HypgasError, InvalidRegimeError
-from .geometry import sphere_area
+from .geometry import radial_weight
 from .scattering import (
     HARDCORE,
     Potential,
@@ -66,13 +66,8 @@ def _solve_once(V, params, R, h):
     n = grid.size
     mid = 0.5 * (grid[:-1] + grid[1:])
     dr = np.diff(grid)
-    w = sphere_area(d) * np.sinh(mid) ** (d - 1)
-    if V.kind == HARDCORE:
-        v_mid = np.zeros_like(mid)
-    else:
-        # V.value on every midpoint: the first cell whose right edge exceeds it
-        radii, heights = zip(*V.pieces)
-        v_mid = np.append(heights, 0.0)[np.searchsorted(radii, mid, side="right")]
+    w = radial_weight(d, mid)
+    v_mid = V.value(mid)  # a hardcore grid starts at R0, where V vanishes
 
     # cell energy: mu*w*(df/dr)^2*dr + (v*w*dr/2) * ((f_i + f_{i+1})/2)^2
     kin = mu * w / dr

@@ -17,6 +17,7 @@ for which a = R0 exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import MatchingError
-from .geometry import check_dimension, sphere_area
+from .geometry import array_module, check_dimension, holds, sphere_area
 
 HARDCORE = "hardcore"
 PIECEWISE = "piecewise_constant"
@@ -51,8 +52,8 @@ class Potential:
     def __post_init__(self):
         if self.kind not in (HARDCORE, PIECEWISE):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if not self.r0 > 0:
-            raise ValueError(f"support radius must be positive, got {self.r0}")
+        if not 0 < self.r0 < math.inf:
+            raise ValueError(f"support radius must be positive and finite, got {self.r0}")
         object.__setattr__(
             self, "pieces", tuple((float(r), float(v)) for r, v in self.pieces)
         )
@@ -63,14 +64,14 @@ class Potential:
         if not self.pieces:
             raise ValueError("piecewise potential requires at least one piece")
         radii = [r for r, _ in self.pieces]
-        if any(b <= a for a, b in zip([0.0] + radii, radii)):
+        if not all(a < b for a, b in zip([0.0] + radii, radii)):
             raise ValueError("piece radii must be strictly increasing and positive")
         if radii[-1] != self.r0:
             raise ValueError(
                 f"last piece radius {radii[-1]} must equal the support radius {self.r0}"
             )
-        if any(v < 0 for _, v in self.pieces):
-            raise ValueError("potential values must be nonnegative")
+        if not all(0 <= v < math.inf for _, v in self.pieces):
+            raise ValueError(f"potential values must be nonnegative and finite, got {self.pieces}")
 
     @classmethod
     def hardcore(cls, r0) -> "Potential":
@@ -81,18 +82,16 @@ class Potential:
         pieces = tuple(pieces)
         return cls(PIECEWISE, pieces[-1][0], pieces)
 
-    def value(self, r) -> float:
-        """Evaluate V(r); math.inf inside a hardcore, 0 beyond the support."""
-        if r < 0:
+    def value(self, r):
+        """V at r (a float or an array): math.inf inside a hardcore, 0 from r0 on."""
+        if not holds(r >= 0):
             raise ValueError(f"radius must be nonnegative, got {r}")
-        if r >= self.r0:
-            return 0.0
-        if self.kind == HARDCORE:
-            return math.inf
-        for radius, v in self.pieces:
-            if r < radius:
-                return v
-        return 0.0
+        radii = self.cell_edges()[1:]
+        heights = tuple(v for _, v in self.pieces) or (math.inf,)
+        heights += (0.0,)
+        if isinstance(r, np.ndarray):
+            return np.array(heights)[np.searchsorted(radii, r, side="right")]
+        return heights[bisect.bisect_right(radii, r)]
 
     def cell_edges(self) -> tuple:
         """Breakpoints of the piecewise-constant structure, 0 through r0."""
@@ -109,8 +108,8 @@ class ScatteringParams:
     d: int
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"kinetic coefficient must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"kinetic coefficient must be positive and finite, got {self.mu}")
         object.__setattr__(self, "d", check_dimension(self.d))
 
 
@@ -179,43 +178,55 @@ class ScatteringSolution:
         return _build_profile(self)
 
 
-def harmonic_primitive(d, r) -> float:
+def harmonic_primitive(d, r):
     """The radial harmonic function F_d: ln tanh(r/2) for d=2, -coth(r) for d=3.
 
-    F_d' (r) = sinh^{1-d}(r) in both dimensions.
+    F_d' (r) = sinh^{1-d}(r) in both dimensions.  r is a float or an array.
+    In d=2, ln tanh(r/2) = log1p(-2e/(1+e)) with e = exp(-r) keeps its
+    digits at large r, where tanh(r/2) rounds to 1.
     """
     d = check_dimension(d)
-    if r <= 0:
+    if not holds(r > 0):
         raise ValueError(f"radius must be positive, got {r}")
-    if d == 2:
-        return math.log(math.tanh(r / 2.0))
-    return -1.0 / math.tanh(r)
+    xp = array_module(r)
+    if d == 3:
+        return -1.0 / xp.tanh(r)
+    e = xp.exp(-r)
+    if xp is np:
+        return np.where(r < 1.0, np.log(np.tanh(r / 2.0)), np.log1p(-2.0 * e / (1.0 + e)))
+    return math.log(math.tanh(r / 2.0)) if r < 1.0 else math.log1p(-2.0 * e / (1.0 + e))
 
 
-def f_infinity(d, a, r) -> float:
-    """The exterior zero-energy solution vanishing at r = a.
+def f_infinity(d, a, r):
+    """The exterior zero-energy solution c_d * (F_d(r) - F_d(a)), zero at r = a.
 
-    d=2: ln(tanh(r/2)/tanh(a/2));  d=3: 1 - tanh(a)/tanh(r).
-    Negative for r < a, zero at r = a, positive for r > a.
+    d=2: ln(tanh(r/2)/tanh(a/2)) = log1p(sinh((r-a)/2) / (cosh(r/2) sinh(a/2)));
+    d=3: 1 - tanh(a)/tanh(r) = sinh(r-a) / (sinh(r) cosh(a)).
+    Negative for r < a, positive for r > a; a and r are floats or arrays.
+    The right-hand forms are evaluated with decaying exponentials only, so
+    tanh(r) never cancels against tanh(a) and nothing overflows.
     """
     d = check_dimension(d)
-    if a <= 0:
+    if not holds(a > 0):
         raise ValueError(f"scattering length must be positive, got {a}")
-    if r <= 0:
+    if not holds(r > 0):
         raise ValueError(f"radius must be positive, got {r}")
+    xp = array_module(a, r)
     if d == 2:
-        return math.log(math.tanh(r / 2.0) / math.tanh(a / 2.0))
-    return 1.0 - math.tanh(a) / math.tanh(r)
+        ea = xp.exp(-a)
+        return xp.log1p(2.0 * ea * -xp.expm1(a - r) / ((1.0 + xp.exp(-r)) * -xp.expm1(-a)))
+    e2a = xp.exp(-2.0 * a)
+    return 2.0 * e2a * -xp.expm1(2.0 * (a - r)) / ((1.0 + e2a) * -xp.expm1(-2.0 * r))
 
 
-def c_d(d, a) -> float:
-    """Flux constant f_infinity'(r) * sinh^{d-1}(r): 1 for d=2, tanh(a) for d=3."""
+def c_d(d, a):
+    """Flux constant f_infinity' * sinh^{d-1}: 1 for d=2, tanh(a) for d=3 (a may be an array)."""
     d = check_dimension(d)
-    if a < 0:
+    if not holds(a >= 0):
         raise ValueError(f"scattering length must be nonnegative, got {a}")
     if d == 2:
         return 1.0
-    return math.tanh(a)
+    return array_module(a).tanh(a)
 
 
 def _integrate_interior(V, params, tol):
@@ -247,13 +258,6 @@ def _integrate_interior(V, params, tol):
         segments.append((lo, hi, sol.sol))
         y = sol.y[:, -1]
     return segments, y[0], y[1]
-
-
-def _match_exterior(d, r0, f_r0, fp_r0):
-    """Matching coefficients (alpha, beta) at r = R0 by continuity of f, f'."""
-    beta = fp_r0 * math.sinh(r0) ** (d - 1)
-    alpha = f_r0 - beta * harmonic_primitive(d, r0)
-    return alpha, beta
 
 
 def _length_from_matching(d, alpha, beta, r0):
@@ -289,15 +293,8 @@ def _build_profile(sol) -> RadialProfile:
     grid = np.unique(np.concatenate([np.linspace(0.0, r_max, PROFILE_NODES), edges]))
 
     if V.kind == HARDCORE:
-        # f_infinity(r) / f_infinity(r_max), written without the cancellation
-        # of tanh(r) against tanh(a) at the nodes just outside the core
-        a = V.r0
-        outside = grid > a
-        r = grid[outside]
-        if d == 2:
-            f = np.log1p(np.sinh((r - a) / 2.0) / (np.cosh(r / 2.0) * math.sinh(a / 2.0)))
-        else:
-            f = np.sinh(r - a) / (np.sinh(r) * math.cosh(a))
+        outside = grid > V.r0
+        f = f_infinity(d, V.r0, grid[outside])  # its last node is r_max
         values = np.zeros_like(grid)
         values[outside] = f / f[-1]
         return RadialProfile(grid, values, r_max)
@@ -305,9 +302,7 @@ def _build_profile(sol) -> RadialProfile:
     segments, norm = sol._interior
     values = np.empty_like(grid)
     exterior = grid >= V.r0
-    r = grid[exterior]
-    primitive = np.log(np.tanh(r / 2.0)) if d == 2 else -1.0 / np.tanh(r)
-    values[exterior] = sol.alpha + sol.beta * primitive
+    values[exterior] = sol.alpha + sol.beta * harmonic_primitive(d, grid[exterior])
     nodes = np.flatnonzero(~exterior)
     # a node on a cell edge belongs to the cell it closes
     owner = np.searchsorted([hi for _, hi, _ in segments], grid[nodes])
@@ -347,15 +342,16 @@ def scattering_length(V, params, r_max=None, tol=DEFAULT_TOL) -> ScatteringSolut
     segments = ()
     if V.kind == HARDCORE:
         a = V.r0
-        if d == 2:
-            alpha, beta = -harmonic_primitive(d, a), 1.0
-        else:
-            alpha, beta = 1.0, math.tanh(a)
+        beta = c_d(d, a)
+        alpha = -beta * harmonic_primitive(d, a)
+        norm = f_infinity(d, a, r_max)
     else:
         segments, f_r0, fp_r0 = _integrate_interior(V, params, tol)
-        alpha, beta = _match_exterior(d, V.r0, f_r0, fp_r0)
+        # continuity of f and f' at R0
+        beta = fp_r0 * math.sinh(V.r0) ** (d - 1)
+        alpha = f_r0 - beta * harmonic_primitive(d, V.r0)
         a = _length_from_matching(d, alpha, beta, V.r0)
-    norm = alpha + beta * harmonic_primitive(d, r_max)
+        norm = alpha + beta * harmonic_primitive(d, r_max)
     if not norm > 0:
         raise MatchingError(f"non-positive normalization f(r_max) = {norm}")
     return ScatteringSolution(
@@ -389,8 +385,6 @@ def scattering_energy(d, a, mu, R) -> float:
     Zero for a = 0 (free particle).
     """
     d = check_dimension(d)
-    if a < 0:
-        raise ValueError(f"scattering length must be nonnegative, got {a}")
     if a == 0:
         return 0.0
     if not R > a:

@@ -181,6 +181,15 @@ class TestClosedFormBounds:
             k_bound(3, 0.0, 1.0)
 
 
+class TestGasParameters:
+    @pytest.mark.parametrize(
+        "rho,mu", [(math.inf, 1.0), (math.nan, 1.0), (0.01, math.inf), (0.01, math.nan)]
+    )
+    def test_rejects_non_finite(self, rho, mu):
+        with pytest.raises(ValueError, match="finite"):
+            GasParameters(d=2, rho=rho, mu=mu)
+
+
 class TestTrialEnergyBound:
     def test_zero_integrals(self):
         p = GasParameters(d=2, rho=0.01, mu=1.0)
@@ -242,8 +251,9 @@ class TestEnergyUpperBound:
             assert energy_upper_bound(d, rho, a, mu, R) >= trial_energy_bound(p, t)
 
     def test_proviso_violation(self):
-        with pytest.raises(InvalidRegimeError):
+        with pytest.raises(InvalidRegimeError) as exc:
             energy_upper_bound(2, 10.0, 0.5, 1.0, 1.5)
+        assert exc.value.quantity == "rho_I_bound"
 
 
 class TestSimplifiedUpperBound:

@@ -3,9 +3,10 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from hypgas import scattering
+from hypgas import bounds, scattering
 from hypgas.cli import (
     EXIT_FAILED,
     EXIT_NUMERIC,
@@ -47,19 +48,33 @@ def run(argv, capsys):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Wrap hypgas.scattering functions at the module attribute; returns the call counts."""
+    """Wrap module functions (hypgas.scattering by default) at the module attribute;
+    returns the call counts."""
     counts = Counter()
 
-    def install(*names):
+    def install(*names, module=scattering):
         for name in names:
-            def counted(*args, _name=name, _fn=getattr(scattering, name), **kwargs):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(scattering, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     return install
+
+
+# potential files that Python's json module accepts although their numbers are not finite
+NON_FINITE_POTENTIALS = {
+    "nan-value": '{"kind":"piecewise","r0":1.0,"pieces":[[0.5,2.0],[1.0,NaN]]}',
+    "inf-value": '{"kind":"piecewise","r0":1.0,"pieces":[[1.0,Infinity]]}',
+    "inf-hardcore": '{"kind":"hardcore","r0":Infinity,"pieces":[]}',
+}
+COMMAND_ARGS = {
+    "scatter": [],
+    "bound": ["--rho", "1e-4"],
+    "certify": ["--model", "modular", "--L", "50", "--N", "100"],
+}
 
 
 class TestLoadPotential:
@@ -89,6 +104,16 @@ class TestLoadPotential:
         path.write_text('{"kind": "gaussian", "r0": 1.0}')
         with pytest.raises(ParseError):
             load_potential(str(path))
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_POTENTIALS))
+    def test_non_finite_file_is_parse_error(self, tmp_path, capsys, name, command):
+        path = tmp_path / "bad.json"
+        path.write_text(NON_FINITE_POTENTIALS[name])
+        code, out, err = run([command, "--potential", str(path)] + COMMAND_ARGS[command], capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "finite" in err
 
 
 class TestScatter:
@@ -130,6 +155,21 @@ class TestScatter:
         assert json.loads(out)["derived"]["profile"]["values"][-1] == 1.0
         assert counts == {"_integrate_interior": 1, "_build_profile": 1}
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("r0", [40.0, 60.0])
+    def test_large_hardcore(self, tmp_path, capsys, d, r0):
+        path = tmp_path / "hc.json"
+        path.write_text(json.dumps({"kind": "hardcore", "r0": r0, "pieces": []}))
+        code, out, _ = run(["scatter", "--potential", str(path), "--d", str(d)], capsys)
+        assert code == EXIT_OK
+        derived = json.loads(out)["derived"]
+        assert derived["a"] == r0
+        grid = np.array(derived["profile"]["grid"])
+        values = np.array(derived["profile"]["values"])
+        assert values[-1] == 1.0
+        assert np.all(values[grid <= r0] == 0.0)
+        assert np.all(np.diff(values) >= 0.0) and np.all(values[grid > r0] > 0.0)
+
 
 class TestBound:
     def test_dilute_report(self, hardcore_file, capsys):
@@ -156,11 +196,17 @@ class TestBound:
 
     def test_builds_no_profile(self, piecewise_file, capsys, count_calls):
         counts = count_calls("_build_profile")
-        code, _, _ = run(
+        count_calls("energy_upper_bound", module=bounds)
+        code, out, _ = run(
             ["bound", "--potential", piecewise_file, "--rho", "1e-4", "--gap", "0.25"], capsys
         )
         assert code == EXIT_OK
         assert counts["_build_profile"] == 0
+        # the direct bound is printed as provenance, so bound alone evaluates it
+        assert counts["energy_upper_bound"] == 1
+        doc = json.loads(out)
+        assert doc["derived"]["validity"]["direct_proviso"] is True
+        assert doc["provenance"]["energy_upper_direct_value"] > 0
 
     def test_infinite_density_is_parse_error(self, hardcore_file, capsys):
         code, out, err = run(
@@ -221,6 +267,7 @@ class TestCertify:
 
     def test_builds_no_profile(self, piecewise_file, capsys, count_calls):
         counts = count_calls("_build_profile")
+        count_calls("energy_upper_bound", module=bounds)
         code, _, _ = run(
             ["certify", "--potential", piecewise_file, "--model", "modular", "--L", "50",
              "--N", "100"],
@@ -228,6 +275,21 @@ class TestCertify:
         )
         assert code in (EXIT_OK, EXIT_FAILED)
         assert counts["_build_profile"] == 0
+        assert counts["energy_upper_bound"] == 0
+
+    @pytest.mark.parametrize(
+        "model,d", [(["modular", "--L", "50"], 2), (["congruence3", "--L", "7", "--vol-x1", "2.5"], 3)]
+    )
+    @pytest.mark.parametrize("r0", [40.0, 60.0])
+    def test_large_hardcore_is_no_numeric_failure(self, tmp_path, capsys, model, d, r0):
+        path = tmp_path / "hc.json"
+        path.write_text(json.dumps({"kind": "hardcore", "r0": r0, "pieces": []}))
+        code, out, _ = run(
+            ["certify", "--potential", str(path), "--d", str(d), "--model"] + model + ["--N", "10"],
+            capsys,
+        )
+        assert code in (EXIT_OK, EXIT_FAILED)
+        assert json.loads(out)["a"] == r0
 
 
 class TestSweep:
@@ -241,6 +303,7 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 6  # header + 5 rows
         assert lines[0].startswith("rho,")
+        assert "np." not in out  # cells are repr() of Python floats, not numpy scalars
 
     def test_two_axes_lexicographic(self, hardcore_file, capsys):
         code, out, _ = run(
@@ -258,6 +321,7 @@ class TestSweep:
 
     def test_one_solve_per_mu(self, piecewise_file, capsys, count_calls):
         counts = count_calls("scattering_length", "_build_profile")
+        count_calls("energy_upper_bound", module=bounds)  # never called: expected counts omit it
         code, out, _ = run(
             ["sweep", "--potential", piecewise_file, "--gap", "0.25",
              "--axis", "rho:1e-5:1e-3:3:log", "--axis", "eps:0.05:0.5:2:linear"],

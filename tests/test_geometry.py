@@ -144,7 +144,17 @@ class TestRadialMeasure:
         with pytest.raises(ValueError):
             radial_weight(2, -0.1)
         with pytest.raises(ValueError):
+            radial_weight(3, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError):
             ball_volume(3, -1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_array_matches_scalar_calls(self, d):
+        r = np.array([0.0, 1e-6, 0.5, 1.0, 7.0, 40.0])
+        np.testing.assert_allclose(
+            radial_weight(d, r), [radial_weight(d, float(x)) for x in r], rtol=1e-14, atol=0
+        )
+        assert type(radial_weight(d, 0.5)) is float
 
     @given(st.floats(1e-6, 10), st.floats(0, 1, exclude_max=True), st.sampled_from([2, 3]))
     @settings(max_examples=100)

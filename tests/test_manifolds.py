@@ -66,6 +66,18 @@ class TestVolume:
         with pytest.raises(ValueError):
             CongruenceQuotient3(L=2, vol_X1=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"volume": math.inf}, {"gap": math.inf}, {"volume": math.nan}]
+    )
+    def test_custom_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            CustomManifold(**dict({"volume": 100.0, "gap": 0.2}, **kwargs))
+
+    @pytest.mark.parametrize("vol", [math.inf, math.nan])
+    def test_congruence3_rejects_non_finite(self, vol):
+        with pytest.raises(ValueError, match="finite"):
+            CongruenceQuotient3(L=2, vol_X1=vol)
+
 
 class TestSpectralGap:
     def test_kim_sarnak(self):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from hypgas.scattering import (
     ScatteringParams,
     c_d,
     f_infinity,
+    harmonic_primitive,
     minimizer_profile,
     scattering_energy,
     scattering_length,
@@ -52,10 +54,38 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential.hardcore(-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Potential.piecewise([(1.0, math.inf)]),
+            lambda: Potential.piecewise([(0.5, 2.0), (1.0, math.nan)]),
+            lambda: Potential.piecewise([(math.nan, 2.0), (1.0, 1.0)]),
+            lambda: Potential.hardcore(math.inf),
+            lambda: Potential.hardcore(math.nan),
+            lambda: ScatteringParams(mu=math.inf, d=2),
+            lambda: ScatteringParams(mu=math.nan, d=3),
+        ],
+        ids=["inf-value", "nan-value", "nan-radius", "inf-hardcore", "nan-hardcore",
+             "inf-mu", "nan-mu"],
+    )
+    def test_rejects_non_finite(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_compact_support_by_evaluation(self):
         for V in (V4, Potential.hardcore(0.3)):
             for r in np.linspace(V.r0, V.r0 + 5, 20):
                 assert V.value(r) == 0.0
+
+    @pytest.mark.parametrize(
+        "V", [Potential.piecewise([(0.5, 3.0), (1.0, 1.0)]), Potential.hardcore(0.3)]
+    )
+    def test_value_on_array_matches_scalar_calls(self, V):
+        r = np.array([0.0, 0.2, 0.3, 0.49, 0.5, 0.7, 1.0, 7.0])
+        assert np.array_equal(V.value(r), [V.value(float(x)) for x in r])
+        assert type(V.value(0.2)) is float
+        with pytest.raises(ValueError):
+            V.value(np.array([0.5, -0.1]))
 
 
 class TestFInfinity:
@@ -83,6 +113,40 @@ class TestFInfinity:
             f_infinity(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             f_infinity(2, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            f_infinity(2, 0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            harmonic_primitive(3, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_array_matches_scalar_calls(self, d):
+        r = np.array([1e-6, 0.3, 0.999, 1.0, 1.5, 7.0, 40.0, 61.0])
+        a = 0.7
+        for fn, args in ((harmonic_primitive, ()), (f_infinity, (a,))):
+            values = fn(d, *args, r)
+            assert isinstance(values, np.ndarray)
+            np.testing.assert_allclose(
+                values, [fn(d, *args, float(x)) for x in r], rtol=1e-14, atol=0
+            )
+            assert type(fn(d, *args, 1.5)) is float
+        np.testing.assert_allclose(
+            f_infinity(d, r, 62.0), [f_infinity(d, float(x), 62.0) for x in r], rtol=1e-14
+        )
+        assert type(c_d(d, 0.5)) is float
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("a,r", [(0.5, 0.500001), (1e-3, 2.0), (40.0, 41.0), (60.0, 60.5)])
+    def test_digits_at_large_and_close_radii(self, d, a, r):
+        # tanh(40) rounds to 1, so ln tanh and 1 - tanh(a)/tanh(r) read 0 there
+        with mpmath.workdps(120):
+            if d == 2:
+                ref = mpmath.log(mpmath.tanh(mpmath.mpf(r) / 2) / mpmath.tanh(mpmath.mpf(a) / 2))
+                prim = mpmath.log(mpmath.tanh(mpmath.mpf(r) / 2))
+            else:
+                ref = 1 - mpmath.tanh(mpmath.mpf(a)) / mpmath.tanh(mpmath.mpf(r))
+                prim = -1 / mpmath.tanh(mpmath.mpf(r))
+        assert f_infinity(d, a, r) == pytest.approx(float(ref), rel=1e-14, abs=0)
+        assert harmonic_primitive(d, r) == pytest.approx(float(prim), rel=1e-14, abs=0)
 
 
 class TestCd:
@@ -141,6 +205,16 @@ class TestScatteringLength:
     def test_hardcore(self, d, r0):
         sol = scattering_length(Potential.hardcore(r0), ScatteringParams(mu=1.0, d=d))
         assert abs(sol.a - r0) <= 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("r0", [40.0, 60.0])
+    def test_large_hardcore(self, d, r0):
+        sol = scattering_length(Potential.hardcore(r0), ScatteringParams(mu=1.0, d=d))
+        assert sol.a == r0
+        prof = sol.profile
+        assert prof.values[-1] == 1.0
+        assert np.all(prof.values[prof.grid <= r0] == 0.0)
+        assert np.all(prof.values[prof.grid > r0] > 0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_free_particle(self, d):
