@@ -130,12 +130,14 @@ def y0_threshold(d, eps, mu, R0) -> float:
 
     The minimum of the eps-branch (exact root of a_c*Y*(1 + b_c*Y) = eps)
     and the smallness cap; strictly positive and non-decreasing in eps.
+    The root is written 2 eps / (a_c (1 + sqrt(1 + 4 b_c eps / a_c))), which
+    does not cancel at small eps as (sqrt(...) - 1) / (2 b_c) does.
     """
     d = check_dimension(d)
     if not (eps > 0 and mu > 0 and R0 > 0):
         raise ValueError("eps, mu and R0 must all be positive")
     a_c, b_c = _eps_branch_coefficients(d, mu, R0)
-    branch = (math.sqrt(4.0 * b_c * eps / a_c + 1.0) - 1.0) / (2.0 * b_c)
+    branch = 2.0 * eps / (a_c * (1.0 + math.sqrt(1.0 + 4.0 * b_c * eps / a_c)))
     return min(branch, y_cap(d, R0))
 
 

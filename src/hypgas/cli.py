@@ -98,14 +98,6 @@ def _model_from_args(args) -> _manifolds.ManifoldModel:
         raise ParseError(str(exc)) from exc
 
 
-def _defaults_block(args) -> dict:
-    return {
-        "tol": args.tol,
-        "profile_nodes": _scattering.PROFILE_NODES,
-        "quad_min_cells": _bounds.QUAD_MIN_CELLS,
-    }
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -114,16 +106,19 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _json_report(payload, args) -> str:
+def _json_report(payload) -> str:
     payload = dict(payload)
-    payload["defaults"] = _defaults_block(args)
+    payload["defaults"] = {
+        "profile_nodes": _scattering.PROFILE_NODES,
+        "quad_min_cells": _bounds.QUAD_MIN_CELLS,
+    }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_scatter(args) -> int:
     V = load_potential(args.potential)
     params = _scattering.ScatteringParams(mu=args.mu, d=args.d)
-    solution = _scattering.scattering_length(V, params, tol=args.tol)
+    solution = _scattering.scattering_length(V, params)
     R = args.R if args.R is not None else _bounds.comparison_radius(V.r0, solution.a)
     energy = _scattering.scattering_energy(args.d, solution.a, args.mu, R)
     profile = solution.profile
@@ -153,16 +148,14 @@ def cmd_scatter(args) -> int:
         },
         "warnings": [],
     }
-    _emit(_json_report(payload, args), args.out)
+    _emit(_json_report(payload), args.out)
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
     V = load_potential(args.potential)
     d, rho, mu = args.d, args.rho, args.mu
-    a = _scattering.scattering_length(
-        V, _scattering.ScatteringParams(mu=mu, d=d), tol=args.tol
-    ).a
+    a = _scattering.scattering_length(V, _scattering.ScatteringParams(mu=mu, d=d)).a
     report = _bounds.make_report(d, rho, a, mu, V.r0, gap=args.gap)
     validity, provenance = dict(report.validity), dict(report.provenance)
     if validity["y_within_cap"] and a > 0:
@@ -202,16 +195,16 @@ def cmd_bound(args) -> int:
         "provenance": provenance,
         "warnings": warnings,
     }
-    _emit(_json_report(payload, args), args.out)
+    _emit(_json_report(payload), args.out)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     V = load_potential(args.potential)
     model = _model_from_args(args)
-    cert = _manifolds.certify_bec(model, args.N, V, args.mu, args.eps, tol=args.tol)
+    cert = _manifolds.certify_bec(model, args.N, V, args.mu, args.eps)
     payload = asdict(cert)
-    _emit(_json_report(payload, args), args.out)
+    _emit(_json_report(payload), args.out)
     return EXIT_OK if cert.certified else EXIT_FAILED
 
 
@@ -257,14 +250,14 @@ def cmd_sweep(args) -> int:
 
     d = args.d
     base = {"rho": args.rho, "mu": args.mu, "eps": args.eps}
-    lengths = {}  # a depends only on (V, mu, d, tol), so solve once per mu
+    lengths = {}  # a depends only on (V, mu, d), so solve once per mu
     rows = []
     for overrides in points:
         p = dict(base, **overrides)
         mu = p["mu"]
         if mu not in lengths:
             params = _scattering.ScatteringParams(mu=mu, d=d)
-            lengths[mu] = _scattering.scattering_length(V, params, tol=args.tol).a
+            lengths[mu] = _scattering.scattering_length(V, params).a
         report = _bounds.make_report(d, p["rho"], lengths[mu], mu, V.r0, gap=args.gap)
         row = {name: p[name] for name, _ in axes}
         row.update(
@@ -291,7 +284,7 @@ def cmd_sweep(args) -> int:
             writer.writerow({k: ("" if row[k] is None else repr(row[k])) for k in fields})
         _emit(buf.getvalue(), args.out)
     else:
-        _emit(_json_report({"rows": rows, "axes": [a[0] for a in axes]}, args), args.out)
+        _emit(_json_report({"rows": rows, "axes": [a[0] for a in axes]}), args.out)
     return EXIT_OK
 
 
@@ -327,7 +320,7 @@ def cmd_verify(args) -> int:
         "energy_oracle": energy_checks,
         "passed": passed,
     }
-    _emit(_json_report(payload, args), args.out)
+    _emit(_json_report(payload), args.out)
     return EXIT_OK if passed else EXIT_FAILED
 
 
@@ -344,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--potential", required=True, help="potential definition JSON file")
         p.add_argument("--d", type=int, default=2, choices=(2, 3))
         p.add_argument("--mu", type=_finite_float, default=1.0)
-        p.add_argument("--tol", type=_finite_float, default=_scattering.DEFAULT_TOL)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("scatter", help="scattering length, C_d, E_R and profile")

@@ -239,7 +239,7 @@ def _model_inputs(model: ManifoldModel) -> dict:
     return entry
 
 
-def certify_bec(model, N, V, mu, eps, tol=_scattering.DEFAULT_TOL) -> CondensateCertificate:
+def certify_bec(model, N, V, mu, eps) -> CondensateCertificate:
     """Certify a condensate fraction of at least 1 - eps for the given gas.
 
     Chain: volume -> rho = N/volume -> scattering length -> Y -> gap.  The
@@ -256,7 +256,7 @@ def certify_bec(model, N, V, mu, eps, tol=_scattering.DEFAULT_TOL) -> Condensate
     vol = volume(model)
     rho = N / vol
     gap = spectral_gap(model)
-    a = _scattering.scattering_length(V, _scattering.ScatteringParams(mu=mu, d=d), tol=tol).a
+    a = _scattering.scattering_length(V, _scattering.ScatteringParams(mu=mu, d=d)).a
     report = _bounds.make_report(d, rho, a, mu, V.r0, gap=gap)
     y0 = _bounds.y0_threshold(d, gap * eps, mu, V.r0)
 

@@ -10,9 +10,14 @@ the exterior harmonic form alpha + beta * F_d(r) with
     F_2(r) = ln tanh(r/2),   F_3(r) = -coth(r),
 
 and extracts the hyperbolic scattering length a as the zero of the matched
-exterior solution.  A hardcore potential of radius R0 is modeled as the
-Dirichlet constraint f = 0 on [0, R0] (no large-finite-V approximation),
-for which a = R0 exactly.
+exterior solution.  V is piecewise constant, so the equation is solved
+exactly, cell by cell, with no ODE solver: in d=3, u = f sinh r obeys
+u'' = (1 + V/2mu) u, whose solutions are sinh and cosh; in d=2 the
+solutions are the Legendre functions P_nu, Q_nu of cosh r with
+nu (nu + 1) = V/2mu.  The log-derivative of the regular solution is
+carried across the cells, and a is read off from it at R0.  A hardcore
+potential of radius R0 is modeled as the Dirichlet constraint f = 0 on
+[0, R0] (no large-finite-V approximation), for which a = R0 exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.special import hyp2f1
 
 from .errors import MatchingError
 from .geometry import array_module, check_dimension, holds, sphere_area
@@ -31,9 +36,7 @@ from .geometry import array_module, check_dimension, holds, sphere_area
 HARDCORE = "hardcore"
 PIECEWISE = "piecewise_constant"
 
-DEFAULT_TOL = 1e-10
 PROFILE_NODES = 4097  # uniform nodes of a profile grid, to which the breakpoints are added
-_SERIES_START = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,8 @@ class ScatteringSolution:
     params: ScatteringParams
     potential: Potential
     r_max: float
-    # (segments, norm): the dense interior segments of the solve that gave a,
-    # and f(r_max) before normalization; the profile is evaluated from them
+    # the cells of the transfer that gave a (see _transfer), from which the
+    # profile is evaluated; empty for hardcore and V = 0
     _interior: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,129 +232,210 @@ def c_d(d, a):
     return array_module(a).tanh(a)
 
 
-def _integrate_interior(V, params, tol):
-    """Integrate the regular radial solution across supp V.
+def _degree(kappa):
+    """The Legendre degree nu >= 0 with nu (nu + 1) = kappa, without cancellation at small kappa."""
+    return 2.0 * kappa / (1.0 + math.sqrt(1.0 + 4.0 * kappa))
 
-    Starts at r = 1e-6 from the regular-solution expansion f = 1 + O(r^2),
-    f'(r) = V(0) r / (2 mu d), and returns (segments, f(R0), f'(R0)) where
-    segments is a list of (lo, hi, dense_solution) covering [1e-6, R0].
+
+def _legendre_p(nu, r):
+    """ln P and P'/P for P = P_nu(cosh r) = 2F1(-nu, nu+1; 1; -sinh^2(r/2)), r a float or an array.
+
+    The derivative is in r.  P overflows to inf from nu * r of about 710.
+    """
+    xp = array_module(r)
+    z = -xp.sinh(r / 2.0) ** 2
+    p, dp = hyp2f1(-nu, nu + 1.0, 1.0, z), hyp2f1(1.0 - nu, nu + 2.0, 2.0, z)
+    if xp is math:  # Python floats: inf/inf is nan, without numpy's warning
+        p, dp = float(p), float(dp)
+    return xp.log(p), xp.sinh(r) * nu * (nu + 1.0) / 2.0 * dp / p
+
+
+def _legendre_q(nu, r):
+    """ln Q and Q'/Q for Q = e^(-(nu+1) r) 2F1(1/2, nu+1; nu+3/2; e^(-2r)), r > 0.
+
+    Q is Q_nu(cosh r) up to the factor sqrt(pi) Gamma(nu+1) / Gamma(nu+3/2),
+    which cancels in every ratio used here; its logarithm never underflows.
+    """
+    xp = array_module(r)
+    y = xp.exp(-2.0 * r)
+    q, dq = hyp2f1(0.5, nu + 1.0, nu + 1.5, y), hyp2f1(1.5, nu + 2.0, nu + 2.5, y)
+    if xp is math:
+        q, dq = float(q), float(dq)
+    return -(nu + 1.0) * r + xp.log(q), -(nu + 1.0) * (1.0 + y * dq / ((nu + 1.5) * q))
+
+
+def _first_cell(d, kappa, r):
+    """The regular solution on the first cell [0, r1], where V / 2mu = kappa.
+
+    Returns ln(f(r) / f(0)) and the state s(r) that the transfer carries:
+    s = u'/u - 1 with u = f sinh r in d=3 (u = sinh(q r), q^2 = 1 + kappa),
+    s = f'/f in d=2 (f = P_nu(cosh r), nu(nu+1) = kappa).  r > 0, a float
+    or an array.
+    """
+    xp = array_module(r)
+    if d == 3:
+        q = math.sqrt(1.0 + kappa)
+        q_minus_1 = kappa / (1.0 + q)
+        e, one_minus_e = xp.exp(-2.0 * q * r), -xp.expm1(-2.0 * q * r)
+        log_ratio = q_minus_1 * r + xp.log(one_minus_e / (q * -xp.expm1(-2.0 * r)))
+        return log_ratio, q_minus_1 + 2.0 * q * e / one_minus_e
+    return _legendre_p(_degree(kappa), r)
+
+
+def _cell(d, kappa, s, lo, r):
+    """Continue the solution with state s at lo across a cell where V / 2mu = kappa.
+
+    Returns ln(f(r) / f(lo)) and the state at r >= lo (see _first_cell), r a
+    float or an array.  d=3: u = u(lo) (cosh(q x) + (w/q) sinh(q x)), x = r - lo,
+    w = 1 + s, written with e^(-2 q x) only; s is carried in place of w because
+    w tends to 1 at large r, where w - 1 would lose its digits.  d=2:
+    f = P + c Q with c fixed by s at lo; logarithms of P and Q are carried,
+    so their ratio enters only as exp of a difference, which cannot overflow.
+    """
+    xp = array_module(r)
+    x = r - lo
+    if d == 3:
+        q = math.sqrt(1.0 + kappa)
+        q_minus_1 = kappa / (1.0 + q)
+        e, one_minus_e = xp.exp(-2.0 * q * x), -xp.expm1(-2.0 * q * x)
+        log_ratio = (
+            q_minus_1 * x
+            + xp.log((1.0 + e + (1.0 + s) / q * one_minus_e) / 2.0)
+            - xp.log(xp.expm1(-2.0 * r) / math.expm1(-2.0 * lo))
+        )
+        # (w + q t) q / (q + w t) - 1 with t = tanh(q x): a sum of nonnegative terms
+        s_r = (s * (q_minus_1 * (1.0 + e) + 2.0 * e) + kappa * one_minus_e) / (
+            q * (1.0 + e) + (1.0 + s) * one_minus_e
+        )
+        return log_ratio, s_r
+    nu = _degree(kappa)
+    lp0, p0 = _legendre_p(nu, lo)
+    lq0, q0 = _legendre_q(nu, lo)
+    lp, p = _legendre_p(nu, r)
+    lq, q = _legendre_q(nu, r)
+    rho0 = (p0 - s) / (s - q0)  # c Q / P at lo, in (-1, 1)
+    one0 = (p0 - q0) / (s - q0)  # 1 + rho0, without cancellation
+    g = (lq - lq0) - (lp - lp0)  # ln of (Q/P)(r) / (Q/P)(lo), <= 0
+    one = one0 + rho0 * xp.expm1(g)  # 1 + c Q / P at r
+    return lp - lp0 + xp.log(one / one0), (p + rho0 * xp.exp(g) * q) / one
+
+
+def _transfer(V, params):
+    """Carry the regular solution across supp V, cell by cell, in closed form.
+
+    Returns (cells, s): cells holds (lo, hi, kappa, s at lo, ln(f(hi)/f(lo)))
+    per cell, kappa = V / 2mu and s the state of _first_cell (None on the
+    first cell); s is the state at R0.
     """
     mu, d = params.mu, params.d
-    edges = V.cell_edges()
-    r = _SERIES_START
-    v0 = V.pieces[0][1]
-    y = np.array([1.0, v0 * r / (2.0 * mu * d)])
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        lo = max(lo, r)
-        v = V.value(0.5 * (lo + hi))
-
-        def rhs(rr, yy, v=v):
-            f, fp = yy
-            return [fp, v / (2.0 * mu) * f - (d - 1) / math.tanh(rr) * fp]
-
-        sol = solve_ivp(
-            rhs, (lo, hi), y, method="DOP853", rtol=tol, atol=tol, dense_output=True
-        )
-        if not sol.success:
-            raise MatchingError(f"interior integration failed on [{lo}, {hi}]: {sol.message}")
-        segments.append((lo, hi, sol.sol))
-        y = sol.y[:, -1]
-    return segments, y[0], y[1]
-
-
-def _length_from_matching(d, alpha, beta, r0):
-    """Zero of alpha + beta * F_d; a = 0 by convention when beta = 0."""
-    if abs(beta) <= 1e-13 * max(abs(alpha), 1.0):
-        return 0.0
-    if beta < 0:
-        raise MatchingError(f"negative exterior flux beta = {beta}")
-    if d == 2:
-        t = math.exp(-alpha / beta)  # tanh(a/2)
-        if not 0.0 < t < 1.0:
-            raise MatchingError(f"no root of the exterior solution (tanh(a/2) = {t})")
-        a = 2.0 * math.atanh(t)
-    else:
-        if alpha <= beta:
+    cells, s, lo = [], None, 0.0
+    for hi, v in V.pieces:
+        kappa = v / (2.0 * mu)
+        growth, s_hi = _first_cell(d, kappa, hi) if s is None else _cell(d, kappa, s, lo, hi)
+        if not (math.isfinite(growth) and math.isfinite(s_hi)):
             raise MatchingError(
-                f"no root of the exterior solution (alpha = {alpha}, beta = {beta})"
+                f"closed-form transfer not finite on the cell [{lo}, {hi}] "
+                f"(V = {v}, mu = {mu}, d = {d}): s = {s_hi}, ln growth = {growth}"
             )
-        a = math.atanh(beta / alpha)
-    if a > r0 + 1e-8:
-        raise MatchingError(f"matched scattering length {a} exceeds the support radius {r0}")
-    return min(a, r0)
+        cells.append((lo, hi, kappa, s, growth))
+        s, lo = s_hi, hi
+    return tuple(cells), s
+
+
+def _exterior_root(d, s, r0):
+    """Scattering length from the state s at R0: the zero of the exterior solution.
+
+    d=3: w = 1 + s = coth(R0 - a), so R0 - a = artanh(1/w) = log1p(2/s) / 2.
+    d=2: w = s = 1 / (sinh(R0) (F_2(R0) - F_2(a))), so ell = -F_2(a) =
+    1/(w sinh R0) - F_2(R0), and a = -F_2(ell), since tanh(ell/2) = e^(-a).
+    """
+    if s > 0:
+        if d == 3:
+            a = r0 - 0.5 * math.log1p(2.0 / s)
+        else:
+            a = -harmonic_primitive(2, 1.0 / (s * math.sinh(r0)) - harmonic_primitive(2, r0))
+        if a > 0:
+            return a
+    raise MatchingError(
+        f"no root of the exterior solution: log-derivative state {s} at R0 = {r0} (d = {d})"
+    )
 
 
 def _build_profile(sol) -> RadialProfile:
     """Evaluate a solution on a uniform grid of [0, r_max] merged with the breakpoints.
 
-    Each dense interior segment is evaluated once, on all of its nodes;
-    from R0 on the matched exterior solution applies.
+    From R0 on the exterior solution f_infinity(r) / f_infinity(r_max)
+    applies; inside, each cell's closed form is evaluated once, on all of
+    its nodes, chained back from f(R0) by the growth of the cells above it.
     """
-    V, d, r_max = sol.potential, sol.params.d, sol.r_max
+    V, d, a, r_max = sol.potential, sol.params.d, sol.a, sol.r_max
     edges = [e for e in V.cell_edges() if 0.0 < e < r_max]
     grid = np.unique(np.concatenate([np.linspace(0.0, r_max, PROFILE_NODES), edges]))
+    if a == 0.0:  # V = 0: f is constant
+        return RadialProfile(grid, np.ones_like(grid), r_max)
 
-    if V.kind == HARDCORE:
-        outside = grid > V.r0
-        f = f_infinity(d, V.r0, grid[outside])  # its last node is r_max
-        values = np.zeros_like(grid)
-        values[outside] = f / f[-1]
-        return RadialProfile(grid, values, r_max)
-
-    segments, norm = sol._interior
-    values = np.empty_like(grid)
+    norm = f_infinity(d, a, r_max)
+    values = np.zeros_like(grid)
     exterior = grid >= V.r0
-    values[exterior] = sol.alpha + sol.beta * harmonic_primitive(d, grid[exterior])
-    nodes = np.flatnonzero(~exterior)
-    # a node on a cell edge belongs to the cell it closes
-    owner = np.searchsorted([hi for _, hi, _ in segments], grid[nodes])
-    for k, (lo, _, dense) in enumerate(segments):
-        mine = nodes[owner == k]
-        if mine.size:
-            values[mine] = dense(np.maximum(grid[mine], lo))[0] / norm
+    values[exterior] = f_infinity(d, a, grid[exterior]) / norm
+    f_r0 = f_infinity(d, a, V.r0) / norm  # 0 for a hardcore, or where a rounds to R0
+    if f_r0 > 0:
+        log_f = math.log(f_r0)  # ln f(hi) of the cell at hand
+        nodes = np.flatnonzero(~exterior)[1:]  # r = 0 is where the backward chain ends
+        # a node on a cell edge belongs to the cell it closes
+        owner = np.searchsorted([hi for _, hi, _, _, _ in sol._interior], grid[nodes])
+        for k in reversed(range(len(sol._interior))):
+            lo, _, kappa, s, growth = sol._interior[k]
+            log_f -= growth
+            mine = nodes[owner == k]
+            if mine.size:
+                r = grid[mine]
+                log_ratio, _ = _first_cell(d, kappa, r) if s is None else _cell(d, kappa, s, lo, r)
+                values[mine] = np.exp(log_f + log_ratio)
+        values[0] = math.exp(log_f)
     values[-1] = 1.0
     np.clip(values, 0.0, 1.0, out=values)
     return RadialProfile(grid, values, r_max)
 
 
-def solve_zero_energy(V, params, r_max, tol=DEFAULT_TOL) -> RadialProfile:
+def solve_zero_energy(V, params, r_max) -> RadialProfile:
     """Regular radial zero-energy solution, normalized to f(r_max) = 1.
 
     Beyond the support radius the returned values coincide with the matched
     exterior harmonic solution alpha + beta * F_d(r).
     """
-    return scattering_length(V, params, r_max, tol=tol).profile
+    return scattering_length(V, params, r_max).profile
 
 
-def scattering_length(V, params, r_max=None, tol=DEFAULT_TOL) -> ScatteringSolution:
+def scattering_length(V, params, r_max=None) -> ScatteringSolution:
     """Hyperbolic scattering length of V with its matched exterior data.
 
-    The length is read off from the matching at r = R0, so the result is
-    independent of r_max (which only sets the normalization point and the
-    extent of the profile).  The interior is integrated once; the profile
-    is built from that solve only when it is read.  For hardcore
-    potentials a = R0 exactly; for V = 0 the convention a = 0 applies
-    (beta = 0, no scattering).
+    The length is read off from the log-derivative of the regular solution
+    at r = R0, carried there in closed form, so it is independent of r_max
+    (which only sets the normalization point and the extent of the
+    profile).  The profile is built from the same cells only when it is
+    read.  For hardcore potentials a = R0 exactly; for V = 0 the
+    convention a = 0 applies (beta = 0, no scattering).
     """
     d = params.d
     if r_max is None:
         r_max = V.r0 + 1.0
     if not r_max > V.r0:
         raise ValueError(f"r_max = {r_max} must exceed the support radius {V.r0}")
-    segments = ()
+    cells = ()
     if V.kind == HARDCORE:
         a = V.r0
+    elif not any(v for _, v in V.pieces):
+        a = 0.0
+    else:
+        cells, s = _transfer(V, params)
+        a = _exterior_root(d, s, V.r0)
+    if a == 0.0:
+        alpha, beta, norm = 1.0, 0.0, 1.0
+    else:
         beta = c_d(d, a)
         alpha = -beta * harmonic_primitive(d, a)
         norm = f_infinity(d, a, r_max)
-    else:
-        segments, f_r0, fp_r0 = _integrate_interior(V, params, tol)
-        # continuity of f and f' at R0
-        beta = fp_r0 * math.sinh(V.r0) ** (d - 1)
-        alpha = f_r0 - beta * harmonic_primitive(d, V.r0)
-        a = _length_from_matching(d, alpha, beta, V.r0)
-        norm = alpha + beta * harmonic_primitive(d, r_max)
     if not norm > 0:
         raise MatchingError(f"non-positive normalization f(r_max) = {norm}")
     return ScatteringSolution(
@@ -362,11 +446,11 @@ def scattering_length(V, params, r_max=None, tol=DEFAULT_TOL) -> ScatteringSolut
         params=params,
         potential=V,
         r_max=r_max,
-        _interior=(tuple(segments), norm),
+        _interior=cells,
     )
 
 
-def minimizer_profile(V, params, R, tol=DEFAULT_TOL) -> RadialProfile:
+def minimizer_profile(V, params, R) -> RadialProfile:
     """Unique minimizer of the two-body energy functional on the ball of radius R.
 
     Identical to the regular zero-energy solution rescaled to f(R) = 1; for
@@ -374,7 +458,7 @@ def minimizer_profile(V, params, R, tol=DEFAULT_TOL) -> RadialProfile:
     """
     if not R > V.r0:
         raise ValueError(f"outer radius R = {R} must exceed the support radius {V.r0}")
-    return solve_zero_energy(V, params, R, tol=tol)
+    return solve_zero_energy(V, params, R)
 
 
 def scattering_energy(d, a, mu, R) -> float:

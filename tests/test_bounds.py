@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,18 @@ class TestY0Threshold:
                     a_c, b_c = _eps_branch_coefficients(d, mu, R0)
                     if y0 < y_cap(d, R0):
                         assert a_c * y0 * (1 + b_c * y0) == pytest.approx(eps, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eps,mu", [(1e-4, 1.0), (1e-6, 1.0), (1e-4, 2.0)])
+    def test_small_eps_root_keeps_its_digits(self, d, eps, mu):
+        # (sqrt(1 + x) - 1) cancels for small x: 2.5e-12 relative at eps = 1e-4, 2.7e-10 at 1e-6
+        from hypgas.bounds import _eps_branch_coefficients
+
+        a_c, b_c = _eps_branch_coefficients(d, mu, 1.0)
+        with mpmath.workdps(50):
+            A, B = mpmath.mpf(a_c), mpmath.mpf(b_c)
+            ref = float((mpmath.sqrt(1 + 4 * B * eps / A) - 1) / (2 * B))
+        assert y0_threshold(d, eps, mu, 1.0) == pytest.approx(ref, rel=1e-15, abs=0)
 
 
 class TestQuadIntegrals:

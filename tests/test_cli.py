@@ -149,11 +149,11 @@ class TestScatter:
         assert out == ""
 
     def test_integrates_interior_once(self, piecewise_file, capsys, count_calls):
-        counts = count_calls("_integrate_interior", "_build_profile")
+        counts = count_calls("_transfer", "_build_profile")
         code, out, _ = run(["scatter", "--potential", piecewise_file, "--d", "2"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["derived"]["profile"]["values"][-1] == 1.0
-        assert counts == {"_integrate_interior": 1, "_build_profile": 1}
+        assert counts == {"_transfer": 1, "_build_profile": 1}
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("r0", [40.0, 60.0])
@@ -291,6 +291,19 @@ class TestCertify:
         assert code in (EXIT_OK, EXIT_FAILED)
         assert json.loads(out)["a"] == r0
 
+    @pytest.mark.parametrize("r0", [30.0, 40.0])
+    def test_large_d3_support_is_no_numeric_failure(self, tmp_path, capsys, r0):
+        path = tmp_path / "pw.json"
+        path.write_text(json.dumps({"kind": "piecewise", "r0": r0, "pieces": [[3.0, 2.0], [r0, 1.0]]}))
+        code, out, _ = run(
+            ["certify", "--potential", str(path), "--d", "3", "--model", "congruence3",
+             "--L", "7", "--vol-x1", "2.5", "--N", "10"],
+            capsys,
+        )
+        assert code in (EXIT_OK, EXIT_FAILED)
+        # 40-digit mpmath transfer: a = R0 - 1.1462158347805880 at R0 = 20, 30 and 40
+        assert json.loads(out)["a"] == pytest.approx(r0 - 1.146215834780588, rel=1e-13)
+
 
 class TestSweep:
     def test_single_axis_csv_rows(self, hardcore_file, capsys):
@@ -375,6 +388,25 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["scatter", "--bogus"]) == EXIT_PARSE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["scatter", "verify"])
+    def test_tol_flag_rejected(self, hardcore_file, capsys, command):
+        # the closed-form transfer has no tolerance to set
+        argv = [command] + (["--potential", hardcore_file] if command == "scatter" else [])
+        code, out, _ = run(argv + ["--tol", "1e-8"], capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+
+    def test_d2_overflow_exits_three(self, tmp_path, capsys):
+        # nu = 720 on [0.5, 1]: P_nu(cosh r) overflows; no NaN and no a = 0 is printed
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(
+            {"kind": "piecewise", "r0": 1.0, "pieces": [[0.5, 1.0], [1.0, 2.0 * 720 * 721]]}
+        ))
+        code, out, err = run(["bound", "--potential", str(path), "--rho", "1e-4"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "[0.5, 1.0]" in err
 
     def test_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "neg.json"

@@ -218,9 +218,10 @@ class TestScatteringLength:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_free_particle(self, d):
-        V = Potential.piecewise([(1.0, 0.0)])
-        sol = scattering_length(V, ScatteringParams(mu=1.0, d=d))
-        assert sol.a == 0.0
+        for pieces in ([(1.0, 0.0)], [(0.4, 0.0), (1.0, 0.0)]):
+            sol = scattering_length(Potential.piecewise(pieces), ScatteringParams(mu=1.0, d=d))
+            assert sol.a == 0.0
+            assert (sol.alpha, sol.beta) == (1.0, 0.0)
 
     def test_piecewise_matches_bvp_oracle(self):
         sol3 = scattering_length(V4, ScatteringParams(mu=1.0, d=3))
@@ -255,6 +256,116 @@ class TestScatteringLength:
         V = Potential.piecewise([(0.5, 4.0), (1.0, 4.0)])
         sol = scattering_length(V, ScatteringParams(mu=1.0, d=3))
         assert sol.a == pytest.approx(A_PIECEWISE_D3, abs=1e-8)
+
+
+def mpmath_regular(pieces, mu, d):
+    """(g, g') at the last edge for the regular solution, by a 40-digit transfer.
+
+    g = u = f sinh r in d=3, g = f in d=2; the solution starts as sinh(q r)
+    or P_nu(cosh r).  Each cell's solutions are spanned by two closed forms:
+    sinh and cosh of q (r - lo), q^2 = 1 + V/2mu, in d=3; the Legendre
+    functions P_nu and Q_nu (type 3) of cosh r, nu (nu + 1) = V/2mu, in d=2.
+    Value and derivative are matched at every cell edge.
+    """
+    with mpmath.workdps(40):
+        lo, y = mpmath.mpf(0), None
+        for hi, v in pieces:
+            hi, kappa = mpmath.mpf(hi), mpmath.mpf(v) / (2 * mpmath.mpf(mu))
+            if d == 3:
+                q = mpmath.sqrt(1 + kappa)
+                basis = [lambda r, lo=lo, fn=fn: fn(q * (r - lo)) for fn in (mpmath.sinh, mpmath.cosh)]
+            else:
+                nu = (mpmath.sqrt(1 + 4 * kappa) - 1) / 2
+                basis = [
+                    lambda r, fn=fn: mpmath.re(fn(nu, 0, mpmath.cosh(r), type=3))
+                    for fn in (mpmath.legenp, mpmath.legenq)
+                ]
+            if y is None:
+                coef = [1, 0]
+            else:
+                m = mpmath.matrix([[b(lo) for b in basis], [mpmath.diff(b, lo) for b in basis]])
+                coef = mpmath.lu_solve(m, mpmath.matrix(y))
+            y = [sum(c * b(hi) for c, b in zip(coef, basis)),
+                 sum(c * mpmath.diff(b, hi) for c, b in zip(coef, basis))]
+            lo = hi
+        return y
+
+
+def mpmath_length(pieces, mu, d):
+    """a from the log-derivative w = g'/g at R0 (see mpmath_regular)."""
+    with mpmath.workdps(40):
+        g, dg = mpmath_regular(pieces, mu, d)
+        r0 = mpmath.mpf(pieces[-1][0])
+        if d == 3:  # w = coth(R0 - a)
+            return float(r0 - mpmath.atanh(g / dg))
+        ell = g / (dg * mpmath.sinh(r0)) - mpmath.log(mpmath.tanh(r0 / 2))  # -ln tanh(a/2)
+        return float(2 * mpmath.atanh(mpmath.exp(-ell)))
+
+
+class TestExactTransfer:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(0.3, 5.0), (0.7, 1.0), (1.2, 2.5)],
+            [(0.5, 2.0), (1.0, 0.0), (1.5, 1.0)],
+            [(0.5, 0.0), (1.0, 3.0)],
+            [(0.015, 2000.0), (0.02, 500.0)],
+            [(1.0, 1e3)],
+            [(1.0, 1e4)],
+            [(2.0, 1.0), (5.0, 0.5)],
+        ],
+        ids=["3-cell", "zero-middle", "zero-core", "narrow", "V1e3", "V1e4", "R0-5"],
+    )
+    def test_matches_mpmath(self, d, pieces):
+        sol = scattering_length(Potential.piecewise(pieces), ScatteringParams(mu=1.0, d=d))
+        assert sol.a == pytest.approx(mpmath_length(pieces, 1.0, d), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("r0", [20.0, 30.0, 40.0])
+    def test_d3_large_support(self, r0):
+        # w = u'/u tends to 1: 1 - 1/w rounds away, so the transfer carries w - 1
+        pieces = [(3.0, 2.0), (r0, 1.0)]
+        sol = scattering_length(Potential.piecewise(pieces), ScatteringParams(mu=1.0, d=3))
+        assert sol.a == pytest.approx(mpmath_length(pieces, 1.0, 3), rel=1e-13, abs=0)
+        assert sol.profile.values[-1] == 1.0
+
+    def test_d3_strong_potential(self):
+        pieces = [(1.0, 1e7)]
+        sol = scattering_length(Potential.piecewise(pieces), ScatteringParams(mu=1.0, d=3))
+        assert sol.a == pytest.approx(mpmath_length(pieces, 1.0, 3), rel=1e-13, abs=0)
+        assert np.all(np.diff(sol.profile.values) >= 0.0)
+        # R0 - a = 1/q is below the rounding of R0: the potential acts as a hardcore
+        V = Potential.piecewise([(0.5, 1.0), (1.0, 1e300)])
+        sol = scattering_length(V, ScatteringParams(mu=1.0, d=3))
+        assert sol.a == 1.0
+        assert np.all(sol.profile.values[sol.profile.grid <= 1.0] == 0.0)
+
+    def test_d2_overflow_is_a_matching_error(self):
+        # nu (nu + 1) = V / 2mu with nu = 720, so P_nu(cosh 1) ~ e^720 overflows
+        V = Potential.piecewise([(0.5, 1.0), (1.0, 2.0 * 720 * 721)])
+        with pytest.raises(MatchingError, match=r"cell \[0.5, 1.0\]"):
+            scattering_length(V, ScatteringParams(mu=1.0, d=2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_profile_chains_the_cells(self, d):
+        # from f(R0) on the exterior solution down through every cell to r = 0
+        pieces = [(0.3, 5.0), (0.7, 1.0), (1.2, 2.5)]
+        sol = scattering_length(Potential.piecewise(pieces), ScatteringParams(mu=1.0, d=d))
+        grid, values = sol.profile.grid, sol.profile.values
+        at_r0 = np.flatnonzero(grid == 1.2)[0]
+        assert values[at_r0] == pytest.approx(
+            f_infinity(d, sol.a, 1.2) / f_infinity(d, sol.a, sol.r_max), rel=1e-14
+        )
+
+        def f(r):  # the mpmath regular solution at r, up to one constant factor
+            if r == 0.0:
+                return math.sqrt(1 + 5.0 / 2) if d == 3 else 1.0  # sinh(q r)/sinh(r), P_nu(1)
+            below = [(min(hi, r), v) for hi, v in pieces if hi < r]
+            g, _ = mpmath_regular(below + [(min(hi, r), v) for hi, v in pieces if hi >= r][:1], 1.0, d)
+            return float(g / mpmath.sinh(r)) if d == 3 else float(g)
+
+        for k in [0, at_r0 - 1] + [int(np.searchsorted(grid, r)) for r in (0.01, 0.3, 0.5, 0.9)]:
+            assert values[k] / values[at_r0] == pytest.approx(f(grid[k]) / f(1.2), rel=1e-13)
 
 
 class TestMinimizerProfile:
